@@ -178,8 +178,9 @@ class RunHandle:
             raise
         finally:
             # a transient per-request engine (Session._engine_for) must not
-            # leak spawned fleet workers past its one run
+            # leak pool or fleet workers past its one run
             if self._engine is not self._session.engine:
+                self._engine.shutdown_pool()
                 self._engine.shutdown_fleet()
         self._result = RunResult(
             request=self.request,

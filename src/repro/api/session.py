@@ -20,9 +20,10 @@ default (:func:`repro.core.runner.engine_scope`) so the ``table*`` /
 ``figure*`` experiment functions resolve through this session's caches;
 the previous default is always reinstated.
 
-Sessions are context managers: ``close()`` flushes and closes the store
-backend (releasing the SQLite connection, persisting the JSON index).  A
-closed session raises on further use.
+Sessions are context managers: ``close()`` shuts down the engine's worker
+pool and flushes and closes the store backend (releasing the SQLite
+connection, persisting the JSON index).  A closed session raises on
+further use.
 """
 
 from __future__ import annotations
@@ -368,8 +369,8 @@ class Session:
         self._store.flush()
 
     def close(self) -> None:
-        """Drain spawned fleet workers, flush and close the store backend;
-        the session becomes unusable."""
+        """Shut down the engine's worker pool, drain spawned fleet workers,
+        flush and close the store backend; the session becomes unusable."""
         if not self._closed:
             self._closed = True
             self.engine.close()

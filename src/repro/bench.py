@@ -444,7 +444,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="timing repetitions, best-of (default: 3)")
     parser.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                         help="machine stepper kernel (default: $REPRO_KERNEL "
-                             "or scalar)")
+                             "or batched; the committed baseline's ratios "
+                             "were recorded on scalar)")
     parser.add_argument("--compare-kernels", action="store_true",
                         help="also time the other kernel's monolithic pass "
                              "and record the batched-over-scalar speedup")

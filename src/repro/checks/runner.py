@@ -4,10 +4,11 @@
 ``repro.api``); :func:`main` backs both ``repro check`` and
 ``python -m repro.checks``.
 
-The runner is pass-agnostic: it parses the target files (in parallel —
-parsing and module-scope analysis are per-file and embarrassingly so),
-hands each module-scope :class:`~repro.checks.model.CheckPass` the files
-it ``wants``, hands each project-scope pass the whole cross-file
+The runner is pass-agnostic: it parses the target files one after
+another on the calling thread (``ast.parse`` is not thread-safe on
+CPython 3.11, and the work is GIL-bound anyway), hands each
+module-scope :class:`~repro.checks.model.CheckPass` the files it
+``wants``, hands each project-scope pass the whole cross-file
 :class:`~repro.checks.contract.Project`, filters inline suppressions
 uniformly, and ORs the exit bits of the families that fired.  New rule
 families plug in through :func:`~repro.checks.model.register_pass`
@@ -17,9 +18,7 @@ without touching this module.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -68,10 +67,6 @@ def _default_paths(root: Path) -> list[Path]:
     return present
 
 
-def _default_jobs() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def _module_pass_findings(
     passes: Sequence[CheckPass], module: SourceModule
 ) -> list[Finding]:
@@ -87,7 +82,6 @@ def run_checks(
     *,
     root: str | Path | None = None,
     passes: Sequence[CheckPass] | None = None,
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Run every registered pass over ``paths``; return unsuppressed findings.
 
@@ -95,11 +89,10 @@ def run_checks(
     simulation-path packages (:data:`DEFAULT_PATHS`) are analyzed
     relative to ``root`` (default: the current working directory).
     ``passes`` overrides the registry (useful for running one family in
-    isolation); ``jobs`` bounds the per-file analysis parallelism
-    (default: up to 8 worker threads).  Findings carry paths relative to
-    ``root`` when possible.  Inline ``# check: ignore[rule] reason``
-    comments on a finding's line suppress it; malformed suppressions are
-    themselves findings.
+    isolation).  Findings carry paths relative to ``root`` when
+    possible.  Inline ``# check: ignore[rule] reason`` comments on a
+    finding's line suppress it; malformed suppressions are themselves
+    findings.
     """
     root_path = Path(root) if root is not None else Path.cwd()
     if paths is None:
@@ -108,23 +101,11 @@ def run_checks(
         targets = [Path(p) for p in paths]
     files = collect_files(targets)
     active = tuple(passes) if passes is not None else registered_passes()
-    workers = jobs if jobs is not None else _default_jobs()
 
     findings: list[Finding] = []
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            modules = list(
-                pool.map(lambda file: load_module(file, root=root_path), files)
-            )
-            per_module = pool.map(
-                lambda module: _module_pass_findings(active, module), modules
-            )
-            for batch in per_module:
-                findings.extend(batch)
-    else:
-        modules = [load_module(file, root=root_path) for file in files]
-        for module in modules:
-            findings.extend(_module_pass_findings(active, module))
+    modules = [load_module(file, root=root_path) for file in files]
+    for module in modules:
+        findings.extend(_module_pass_findings(active, module))
 
     project = Project.build(modules)
     for check_pass in active:
@@ -167,22 +148,13 @@ def build_parser(prog: str = "repro check") -> argparse.ArgumentParser:
         default="text",
         help="report format (default: text)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file analysis threads (default: up to 8)",
-    )
     return parser
 
 
-def run_and_report(
-    paths: Sequence[str] | None, fmt: str = "text", jobs: int | None = None
-) -> int:
+def run_and_report(paths: Sequence[str] | None, fmt: str = "text") -> int:
     """Run the checks, print a report, and return the CLI exit code."""
     try:
-        findings = run_checks(paths or None, jobs=jobs)
+        findings = run_checks(paths or None)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -195,4 +167,4 @@ def main(argv: Sequence[str] | None = None, prog: str = "repro check") -> int:
     """CLI entry point; the exit code ORs one bit per rule family that fired."""
     parser = build_parser(prog=prog)
     options = parser.parse_args(argv)
-    return run_and_report(options.paths, options.format, jobs=options.jobs)
+    return run_and_report(options.paths, options.format)

@@ -94,7 +94,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                               "size when --intra-jobs > 1, else monolithic)")
     run_all.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                          help="machine stepper kernel (default: $REPRO_KERNEL "
-                              "or scalar; results are bit-identical)")
+                              "or batched; results are bit-identical)")
     run_all.add_argument("--fleet", type=int, default=None, metavar="N",
                          help="delegate missing points to N fleet workers "
                               "sharing the cache dir's object-store bucket "
@@ -129,7 +129,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                                "--intra-jobs > 1)")
     simulate.add_argument("--kernel", choices=KERNEL_NAMES, default=None,
                           help="machine stepper kernel (default: $REPRO_KERNEL "
-                               "or scalar; results are bit-identical)")
+                               "or batched; results are bit-identical)")
     simulate.add_argument("--format", choices=("text", "json"), default="text",
                           help="output format (default: text)")
 
@@ -148,8 +148,6 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                             "simulation-path packages)")
     check.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format (default: text)")
-    check.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="per-file analysis threads (default: up to 8)")
 
     worker = sub.add_parser(
         "worker",
@@ -383,7 +381,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # none of the simulation machinery
     from repro.checks.runner import run_and_report
 
-    return run_and_report(args.paths, args.format, jobs=args.jobs)
+    return run_and_report(args.paths, args.format)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

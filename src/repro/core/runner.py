@@ -16,7 +16,10 @@ hundreds of them.  This module turns that grid into a first-class object:
 * :class:`ExperimentEngine` — executes the missing points of a spec, batched
   across a :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``
   (workers rebuild the simulators from the picklable points and ship results
-  back as JSON-compatible dictionaries).  With a cache directory configured
+  back as JSON-compatible dictionaries).  One pool serves every batch of an
+  engine, so its workers keep their imported kernel, unpickled traces and
+  lowerings warm across exhibits; :meth:`ExperimentEngine.close` shuts it
+  down.  With a cache directory configured
   the engine also memoises compiled traces on disk
   (:class:`repro.trace.store.TraceStore`) and pre-warms them before fanning
   out, so each workload trace is compiled at most once per grid instead of
@@ -350,7 +353,7 @@ class ExperimentEngine:
         #: the parallelism moves inside each point (see repro.parallel)
         self.intra_jobs = plan.intra_jobs
         #: machine stepper kernel used for every simulation this engine runs
-        #: ("scalar" or "batched"; results are bit-identical either way)
+        #: ("batched", or the "scalar" oracle; results are bit-identical)
         self.kernel = plan.kernel
         #: local fleet workers to spawn (0: fleet delegation disabled)
         self.fleet = plan.fleet
@@ -360,6 +363,10 @@ class ExperimentEngine:
             DEFAULT_CHUNK_SIZE if plan.intra_jobs > 1 else 0
         )
         self._dispatcher: "FleetDispatcher | None" = None
+        #: the worker pool shared by every parallel batch (created lazily)
+        self._pool: ProcessPoolExecutor | None = None
+        #: machine model names the pool's workers were forked with
+        self._pool_registry: tuple[str, ...] = ()
         if trace_store is None and self.store.cache_dir is not None:
             trace_store = TraceStore(self.store.cache_dir / TRACE_SUBDIR)
         self.trace_store = trace_store
@@ -543,15 +550,40 @@ class ExperimentEngine:
         self.fleet_points += len(points)
         return dispatcher.collect(batch)
 
+    def _worker_pool(self) -> ProcessPoolExecutor:
+        """The engine's process pool, created on the first parallel batch.
+
+        Workers are forked once and reused by every later batch, so each
+        imports the kernel, unpickles a trace and lowers it at most once
+        per engine instead of once per exhibit.  The kernel modules are
+        imported here, before the fork, so workers inherit them.  Workers
+        forked before a machine model was registered cannot simulate it,
+        so a changed registry retires the pool.
+        """
+        from repro.core.machines import machine_names
+
+        registry = machine_names()
+        if self._pool is not None and registry != self._pool_registry:
+            self.shutdown_pool()
+        if self._pool is None:
+            import repro.core.simulator  # noqa: F401  (inherited by workers)
+
+            if self.kernel == "batched":
+                from repro.machine.batched import load_builtin_steppers
+
+                load_builtin_steppers()
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool_registry = registry
+        return self._pool
+
     def _execute_parallel(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
-        workers = min(self.jobs, len(points))
-        chunksize = max(1, len(points) // (workers * 4))
+        chunksize = max(1, len(points) // (self.jobs * 4))
         trace_dir = (
             str(self.trace_store.cache_dir) if self.trace_store is not None else None
         )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
             payloads = list(
-                pool.map(
+                self._worker_pool().map(
                     _simulate_point,
                     points,
                     itertools.repeat(trace_dir),
@@ -559,6 +591,11 @@ class ExperimentEngine:
                     chunksize=chunksize,
                 )
             )
+        except BrokenProcessPool:
+            # a lost worker breaks the whole pool: drop it so the next
+            # batch forks a fresh one
+            self.shutdown_pool()
+            raise
         return [SimulationResult.from_dict(payload) for payload in payloads]
 
     # -- lifecycle ----------------------------------------------------------
@@ -569,9 +606,18 @@ class ExperimentEngine:
             self._dispatcher.shutdown()
             self._dispatcher = None
 
+    def shutdown_pool(self) -> None:
+        """Shut the worker pool down and wait for its workers to exit
+        (no-op when no parallel batch ran); a later batch forks a new one."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
     def close(self) -> None:
-        """Release engine resources: drain spawned fleet workers, close the
-        store (flushing buffered metadata / releasing SQLite handles)."""
+        """Release engine resources: shut the worker pool down, drain
+        spawned fleet workers, close the store (flushing buffered metadata
+        / releasing SQLite handles)."""
+        self.shutdown_pool()
         self.shutdown_fleet()
         self.store.close()
 
@@ -590,10 +636,8 @@ class ExperimentEngine:
         line = (
             f"engine: {self.simulated} simulated, {self.disk_hits} disk hits, "
             f"{self.memory_hits} memory hits, jobs={self.jobs}, "
-            f"store={self.store.describe()}"
+            f"store={self.store.describe()}, kernel={self.kernel}"
         )
-        if self.kernel != "scalar":
-            line += f", kernel={self.kernel}"
         if self.fleet:
             line += f", fleet={self.fleet} ({self.fleet_points} dispatched)"
         if self.chunk_size:
@@ -700,14 +744,16 @@ def engine_scope(engine: ExperimentEngine) -> Iterator[ExperimentEngine]:
 def set_engine(engine: ExperimentEngine | None) -> None:
     """Install ``engine`` as the default (``None`` resets to lazy creation).
 
-    The outgoing engine's fleet dispatcher (if any) is drained, and its
-    store closed (flushing buffered metadata and releasing any SQLite
-    connection) unless the incoming engine shares the store.
+    The outgoing engine's worker pool and fleet dispatcher (if any) are
+    shut down, and its store closed (flushing buffered metadata and
+    releasing any SQLite connection) unless the incoming engine shares the
+    store.
     """
     global _default_engine
     previous = _default_engine
     _default_engine = engine
     if previous is not None and previous is not engine:
+        previous.shutdown_pool()
         previous.shutdown_fleet()
         if engine is None or previous.store is not engine.store:
             previous.store.close()

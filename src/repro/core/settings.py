@@ -31,9 +31,10 @@ Environment variables (all optional):
                               unparsable values fall back to the default)
 ``REPRO_INTRA_JOBS``          chunk workers within one point (ditto)
 ``REPRO_CHUNK_SIZE``          instructions per chunk (clamped to ≥ 0)
-``REPRO_KERNEL``              machine stepper kernel: ``scalar`` (the
-                              per-instruction dispatch loop) or ``batched``
-                              (the SoA pre-lowered stepper; invalid values
+``REPRO_KERNEL``              machine stepper kernel: ``batched`` (the
+                              SoA pre-lowered stepper, the default) or
+                              ``scalar`` (the per-instruction dispatch
+                              loop, the readable oracle; invalid values
                               are an error)
 ``REPRO_FLEET``               distributed execution: number of local
                               ``repro worker`` processes the engine spawns
@@ -106,8 +107,8 @@ class ExecutionPlan:
     intra_jobs: int = 1
     #: instructions per simulation chunk (0: monolithic unless intra_jobs > 1)
     chunk_size: int = 0
-    #: machine stepper kernel (``scalar`` or ``batched``)
-    kernel: str = "scalar"
+    #: machine stepper kernel (``batched``, or the ``scalar`` oracle)
+    kernel: str = "batched"
     #: local ``repro worker`` processes to spawn for fleet dispatch
     #: (0: execute in-process; see :mod:`repro.fleet`)
     fleet: int = 0
@@ -156,8 +157,8 @@ class Settings:
     intra_jobs: int = 1
     #: instructions per simulation chunk (0: monolithic unless intra_jobs > 1)
     chunk_size: int = 0
-    #: machine stepper kernel (``scalar`` or ``batched``)
-    kernel: str = "scalar"
+    #: machine stepper kernel (``batched``, or the ``scalar`` oracle)
+    kernel: str = "batched"
     #: local fleet workers to spawn (0: in-process execution, the default)
     fleet: int = 0
     #: names of the fields that were passed explicitly to :meth:`resolve`
@@ -241,7 +242,7 @@ class Settings:
             resolved_fleet = _explicit_int("fleet", fleet, minimum=0)
 
         if kernel is _UNSET:
-            resolved_kernel = environ.get(KERNEL_ENV) or "scalar"
+            resolved_kernel = environ.get(KERNEL_ENV) or "batched"
             source = f" (from ${KERNEL_ENV})"
         else:
             explicit.add("kernel")

@@ -10,17 +10,23 @@ kernel.  Machines without a registered stepper must fall back to their own
 ``run_slice`` untouched (the bring-your-own-machine path).
 """
 
+from itertools import groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.machines import get_machine_model, machine_names
+from repro.isa.opcodes import Opcode
 from repro.machine.batched import (
+    KIND_INDEX,
+    LoweredTrace,
     has_lowering,
     lowered_for,
     run_slice_batched,
     stepper_for,
 )
+from repro.trace.records import DynInstr
 from repro.workloads.registry import get_workload
 
 MACHINES = machine_names()
@@ -106,6 +112,27 @@ class TestLoweringCache:
     def test_lowering_covers_the_whole_trace(self):
         trace = TRACES["swm256"]
         assert lowered_for(trace).n == len(trace.instructions)
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(list(Opcode)), st.integers(0, 128)),
+        max_size=40,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_vl1_and_segments_match_a_direct_recomputation(self, rows):
+        instrs = [
+            DynInstr(seq=i, opcode=opcode, pc=i, vl=vl)
+            for i, (opcode, vl) in enumerate(rows)
+        ]
+        lowered = LoweredTrace(instrs)
+        assert lowered.kind_code == [KIND_INDEX[op.value.kind] for op, _ in rows]
+        assert lowered.vl == [vl for _, vl in rows]
+        assert lowered.vl1 == [max(vl, 1) for vl in lowered.vl]
+        segments, start = [], 0
+        for kind, run in groupby(lowered.kind_code):
+            length = len(list(run))
+            segments.append((start, start + length, kind))
+            start += length
+        assert lowered.segments == segments
 
 
 class TestUnregisteredMachineFallback:

@@ -386,13 +386,33 @@ class TestCli:
         assert checks_main([str(tmp_path / "nope.py")]) == USAGE_ERROR
         assert USAGE_ERROR == 255
 
-    def test_jobs_flag_does_not_change_findings(self, capsys):
-        serial = checks_main([str(CHECKDATA), "--jobs", "1", "--format", "json"])
-        serial_payload = json.loads(capsys.readouterr().out)
-        threaded = checks_main([str(CHECKDATA), "--jobs", "4", "--format", "json"])
-        threaded_payload = json.loads(capsys.readouterr().out)
-        assert serial == threaded == 16 | 32 | 64 | 128
-        assert serial_payload["findings"] == threaded_payload["findings"]
+    def test_files_are_parsed_serially_on_the_calling_thread(self, monkeypatch):
+        # ast.parse from worker threads raises "AST constructor recursion
+        # depth mismatch" on CPython 3.11, so parsing must stay serial
+        import threading
+
+        import repro.checks.runner as runner
+
+        parsed_on = []
+        real_load = runner.load_module
+
+        def recording_load(file, root):
+            parsed_on.append(threading.current_thread())
+            return real_load(file, root=root)
+
+        def no_threads(self):
+            raise AssertionError("run_checks must not start threads")
+
+        monkeypatch.setattr(runner, "load_module", recording_load)
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        findings = run_checks([CHECKDATA], root=REPO_ROOT)
+        assert exit_code_for(findings) == 16 | 32 | 64 | 128
+        assert len(parsed_on) > 1
+        assert set(parsed_on) == {threading.main_thread()}
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            checks_main([str(CHECKDATA), "--jobs", "2"])
 
     def test_json_report_carries_the_rules_table(self, tmp_path, capsys):
         clean = write_fixture(tmp_path, "x = 1\n")

@@ -30,7 +30,7 @@ class TestExecutionPlan:
     def test_defaults(self):
         plan = ExecutionPlan()
         assert (plan.jobs, plan.intra_jobs, plan.chunk_size) == (1, 1, 0)
-        assert plan.kernel == "scalar"
+        assert plan.kernel == "batched"
         assert plan.fleet == 0
 
     @pytest.mark.parametrize("bad", [
