@@ -33,7 +33,13 @@ from repro.core.config import (
     reference_config,
 )
 from repro.core.results import SimulationResult
-from repro.core.runner import ExperimentEngine, ExperimentPoint, ExperimentSpec, run_experiment
+from repro.core.runner import (
+    ExperimentEngine,
+    ExperimentPoint,
+    ExperimentSpec,
+    get_engine,
+    run_experiment,
+)
 from repro.trace.stats import TraceStatistics
 from repro.workloads.registry import WORKLOAD_NAMES, get_workload
 
@@ -77,11 +83,20 @@ def table1_functional_unit_latencies() -> dict[str, int]:
     return asdict(FunctionalUnitLatencies())
 
 
+def _trace_statistics(name: str, scale: str) -> TraceStatistics:
+    """One program's trace statistics, through the current engine's trace
+    store when it has one (so a warm cache reads them instead of recompiling)."""
+    trace_store = get_engine().trace_store
+    if trace_store is not None:
+        return trace_store.statistics(name, scale)
+    return get_workload(name, scale).statistics()
+
+
 def table2_program_statistics(
     programs: Iterable[str] | None = None, scale: str = "small"
 ) -> dict[str, TraceStatistics]:
     """Table 2: instruction counts, %vectorisation and average vector length."""
-    return {name: get_workload(name, scale).statistics() for name in _programs(programs)}
+    return {name: _trace_statistics(name, scale) for name in _programs(programs)}
 
 
 def table3_spill_statistics(
@@ -90,7 +105,7 @@ def table3_spill_statistics(
     """Table 3: vector memory operations split into ordinary and spill traffic."""
     rows: dict[str, dict[str, int]] = {}
     for name in _programs(programs):
-        stats = get_workload(name, scale).statistics()
+        stats = _trace_statistics(name, scale)
         rows[name] = {
             "vector_load_ops": stats.vector_load_ops,
             "vector_load_spill_ops": stats.vector_load_spill_ops,

@@ -92,8 +92,8 @@ class Workload:
         return _trace_cached(type(self), self.scale)
 
     def statistics(self) -> TraceStatistics:
-        """Trace statistics in the shape of Tables 2 and 3."""
-        return compute_trace_statistics(self.trace())
+        """Trace statistics in the shape of Tables 2 and 3 (cached)."""
+        return _statistics_cached(type(self), self.scale)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(scale={self.scale!r})"
@@ -112,7 +112,13 @@ def _trace_cached(workload_cls: type, scale: str) -> Trace:
     return generate_trace(result.program)
 
 
+@functools.lru_cache(maxsize=None)
+def _statistics_cached(workload_cls: type, scale: str) -> TraceStatistics:
+    return compute_trace_statistics(_trace_cached(workload_cls, scale))
+
+
 def clear_workload_caches() -> None:
-    """Drop all cached compilations and traces (mainly for tests)."""
+    """Drop all cached compilations, traces and statistics (mainly for tests)."""
     _compile_cached.cache_clear()
     _trace_cached.cache_clear()
+    _statistics_cached.cache_clear()

@@ -158,3 +158,97 @@ class TestStateBreakdown:
             trackers.append(tracker)
         counts = state_breakdown(trackers, total)
         assert sum(counts.values()) == total
+        # per-cycle brute force: same counts, keys in first-occurrence order
+        oracle: dict = {}
+        for cycle in range(total):
+            key = tuple(tracker.busy_at(cycle) for tracker in trackers)
+            oracle[key] = oracle.get(key, 0) + 1
+        assert list(counts.items()) == list(oracle.items())
+
+    def test_breakdown_reads_compact_trackers(self):
+        compact = BusyTracker.from_pairs("a", [[2, 5], [8, 12]])
+        built = BusyTracker("b")
+        built.add(4, 9)
+        counts = state_breakdown([compact, built], 14)
+        assert list(counts.items()) == [
+            ((False, False), 4), ((True, False), 5), ((True, True), 2), ((False, True), 3),
+        ]
+
+    def test_zero_total_is_empty(self):
+        tracker = BusyTracker()
+        tracker.add(0, 4)
+        assert state_breakdown([tracker], 0) == {}
+
+
+def _add_loop(pairs):
+    """The pre-compact ``from_pairs``: every pair through ``add``."""
+    tracker = BusyTracker("t")
+    for start, end in pairs:
+        tracker.add(int(start), int(end))
+    return tracker
+
+
+def _outcome(build, pairs):
+    try:
+        tracker = build(pairs)
+    except Exception as exc:  # compared, not swallowed
+        return ("raised", type(exc), str(exc))
+    return (tracker.to_pairs(), tracker.merged(), tracker.busy_cycles(), len(tracker))
+
+
+@st.composite
+def _canonical_pairs(draw):
+    bounds = sorted(draw(st.sets(st.integers(0, 10**6), max_size=40)))
+    if len(bounds) % 2:
+        bounds = bounds[:-1]
+    return [[bounds[i], bounds[i + 1]] for i in range(0, len(bounds), 2)]
+
+
+_endpoints = st.one_of(
+    st.integers(-50, 300),
+    st.integers(2**62, 2**70),  # beyond a 64-bit array
+    st.floats(width=32),
+    st.booleans(),
+)
+_pairs = st.one_of(
+    st.lists(_endpoints, min_size=2, max_size=2),
+    st.tuples(_endpoints, _endpoints),
+    st.lists(st.integers(0, 300), max_size=3),  # wrong arity included
+)
+
+
+class TestFromPairs:
+    @given(st.one_of(_canonical_pairs(), st.lists(_pairs, max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_add_loop(self, pairs):
+        assert _outcome(lambda p: BusyTracker.from_pairs("t", p), pairs) == _outcome(
+            _add_loop, pairs)
+
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 40)), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_to_pairs_round_trips_through_the_compact_form(self, raw):
+        tracker = BusyTracker("fu")
+        for start, length in raw:
+            tracker.add(start, start + length)
+        decoded = BusyTracker.from_pairs("fu", tracker.to_pairs())
+        assert decoded._flat is not None  # canonical: no Interval tuples built
+        assert decoded.to_pairs() == tracker.to_pairs()
+        assert decoded.merged() == tracker.merged()
+        assert decoded.busy_cycles() == tracker.busy_cycles()
+        assert len(decoded) == len(tracker.merged())
+
+    def test_end_before_start_still_raises(self):
+        with pytest.raises(ValueError):
+            BusyTracker.from_pairs("fu", [[0, 4], [9, 6]])
+
+    def test_compact_tracker_thaws_on_write(self):
+        tracker = BusyTracker.from_pairs("fu", [[0, 4], [6, 9]])
+        twin = tracker.copy()
+        tracker.add(9, 12)  # extends the last interval
+        assert tracker.to_pairs() == [[0, 4], [6, 12]]
+        assert twin.to_pairs() == [[0, 4], [6, 9]]
+        twin._intervals.append(Interval(20, 25))  # the batched steppers' access
+        assert twin.busy_cycles() == 12
+        assert len(twin) == 3
+        assert list(twin) == [Interval(0, 4), Interval(6, 9), Interval(20, 25)]
+        assert twin.last_end() == 25 and twin.busy_at(21) and not twin.busy_at(5)

@@ -18,7 +18,13 @@ from repro.common.errors import ReproError
 from repro.common.stats import MemoryTraffic, SimStats
 from repro.core.config import ooo_config, reference_config
 from repro.core.results import SimulationResult
-from repro.core.runner import ExperimentEngine, ExperimentPoint, ExperimentSpec, ResultStore
+from repro.core.runner import (
+    ExperimentEngine,
+    ExperimentPoint,
+    ExperimentSpec,
+    ResultStore,
+    result_payload,
+)
 from repro.core.store import (
     BACKEND_NAMES,
     STORE_ENV,
@@ -178,6 +184,25 @@ class TestBackendContract:
         _corrupt_entry(backend, tmp_path, point, json.dumps(payload))
         fresh = ResultStore(tmp_path, backend=backend)
         assert fresh.get(point) is None
+
+    def test_end_before_start_interval_is_evicted_and_resimulated(self, backend, tmp_path):
+        # Busy intervals decode through BusyTracker.from_pairs, whose compact
+        # fast path must still reject a hand-corrupted end < start pair.
+        point = _point()
+        engine = ExperimentEngine(ResultStore(tmp_path, backend=backend))
+        expected = engine.run_point(point)
+        engine.close()
+        payload = result_payload(point, expected)
+        payload["result"]["stats"]["unit_busy"]["FU1"] = [[0, 4], [12, 8]]
+        _corrupt_entry(backend, tmp_path, point, json.dumps(payload))
+        fresh = ResultStore(tmp_path, backend=backend)
+        assert fresh.get(point) is None
+        assert not fresh.contains(point)
+        engine = ExperimentEngine(fresh)
+        healed = engine.run_point(point)
+        assert engine.simulated == 1
+        assert healed.to_dict() == expected.to_dict()
+        engine.close()
 
     def test_gc_keeps_valid_and_evicts_invalid(self, backend, tmp_path):
         store = ResultStore(tmp_path, backend=backend)

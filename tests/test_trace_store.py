@@ -1,8 +1,11 @@
 """Tests for the on-disk compiled-trace memoisation (repro.trace.store)."""
 
+import json
 import pickle
 
 import pytest
+
+from repro.api import Session
 
 from repro.core.config import ooo_config, reference_config
 from repro.core.settings import ExecutionPlan
@@ -13,7 +16,9 @@ from repro.core.runner import (
     ResultStore,
     _simulate_point,
 )
+from repro.trace.stats import compute_trace_statistics
 from repro.trace.store import TRACE_STORE_VERSION, TraceStore
+from repro.workloads import clear_workload_caches
 from repro.workloads.registry import get_workload
 
 
@@ -225,3 +230,146 @@ class TestEngineTraceMemoisation:
         engine.result("trfd", ooo_config(phys_vregs=32), scale="tiny")
         engine.result("trfd", reference_config(), scale="tiny")
         assert calls == [("trfd", "tiny")]
+
+
+class TestTraceCounters:
+    def test_load_memoised_counts_on_the_calling_store(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.load_memoised("trfd", "tiny")
+        assert (store.generated, store.disk_hits) == (1, 0)
+        store.load_memoised("trfd", "tiny")  # memo hit: counts nowhere
+        assert (store.generated, store.disk_hits) == (1, 0)
+        other = TraceStore(tmp_path / "other")
+        other.ensure("trfd", "tiny")
+        reader = TraceStore(tmp_path / "other")
+        reader.load_memoised("trfd", "tiny")
+        assert (reader.generated, reader.disk_hits) == (0, 1)
+
+    def test_session_trace_reports_its_compile(self, tmp_path):
+        with Session(cache_dir=tmp_path) as session:
+            session.trace("trfd")
+            assert "traces: 1 compiled, 0 loaded" in session.summary()
+        assert TraceStore(tmp_path / TRACE_SUBDIR).contains("trfd", "small")
+
+    def test_ensure_does_not_reload_a_trace_this_store_wrote(self, tmp_path, monkeypatch):
+        store = TraceStore(tmp_path)
+        store.statistics("trfd", "tiny")  # compiles and writes the trace
+
+        def no_unpickle(self, workload, scale):
+            raise AssertionError("ensure unpickled a trace this store just wrote")
+
+        monkeypatch.setattr(TraceStore, "get", no_unpickle)
+        assert store.ensure("trfd", "tiny") is False
+        assert store.generated == 1
+
+
+def _sidecar(directory, workload="trfd", scale="tiny"):
+    return directory / f"{workload}-{scale}-v{TRACE_STORE_VERSION}.stats.json"
+
+
+class TestStatisticsSidecar:
+    def test_statistics_are_computed_once_and_persisted(self, tmp_path):
+        store = TraceStore(tmp_path)
+        stats = store.statistics("trfd", "tiny")
+        assert stats == compute_trace_statistics(get_workload("trfd", "tiny").trace())
+        assert store.generated == 1
+        assert _sidecar(tmp_path).is_file()
+        assert not list(tmp_path.glob(".*.tmp"))  # written atomically
+
+    def test_warm_sidecar_is_read_without_compiling_or_unpickling(
+            self, tmp_path, monkeypatch):
+        expected = TraceStore(tmp_path).statistics("trfd", "tiny")
+
+        import repro.workloads.registry as registry
+
+        def boom(*args, **kwargs):
+            raise AssertionError("statistics were recomputed despite a sidecar")
+
+        monkeypatch.setattr(registry, "get_workload", boom)
+        monkeypatch.setattr(TraceStore, "get", boom)
+        fresh = TraceStore(tmp_path)
+        assert fresh.statistics("trfd", "tiny") == expected
+        assert (fresh.generated, fresh.disk_hits) == (0, 0)
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: "{truncat",
+        lambda doc: json.dumps({**doc, "version": TRACE_STORE_VERSION + 1}),
+        lambda doc: json.dumps({**doc, "workload": "bdna"}),
+        lambda doc: json.dumps({**doc, "scale": "small"}),
+        lambda doc: json.dumps({**doc, "statistics": {
+            **doc["statistics"], "vector_operations": True}}),
+        lambda doc: json.dumps({**doc, "statistics": {
+            **doc["statistics"], "vector_operations": 1.5}}),
+        lambda doc: json.dumps({**doc, "statistics": {
+            k: v for k, v in doc["statistics"].items() if k != "vector_load_ops"}}),
+        lambda doc: json.dumps({**doc, "statistics": {**doc["statistics"], "extra": 1}}),
+        lambda doc: json.dumps({**doc, "statistics": {**doc["statistics"], "name": 7}}),
+        lambda doc: json.dumps([doc]),
+    ])
+    def test_bad_sidecar_is_dropped_and_recomputed(self, tmp_path, damage):
+        expected = TraceStore(tmp_path).statistics("trfd", "tiny")
+        path = _sidecar(tmp_path)
+        path.write_text(damage(json.loads(path.read_text())), encoding="utf-8")
+        fresh = TraceStore(tmp_path)
+        assert fresh.statistics("trfd", "tiny") == expected  # never raises
+        assert fresh.generated == 0 and fresh.disk_hits == 1  # trace reused
+        assert TraceStore(tmp_path)._read_statistics("trfd", "tiny") == expected
+
+    def test_unwritable_sidecar_still_answers(self, tmp_path, monkeypatch):
+        TraceStore(tmp_path).ensure("trfd", "tiny")
+
+        import repro.trace.store as store_mod
+
+        def read_only(path, write):
+            raise PermissionError(path)
+
+        monkeypatch.setattr(store_mod, "_write_atomic", read_only)
+        stats = TraceStore(tmp_path).statistics("trfd", "tiny")
+        assert stats.total_instructions > 0
+        assert not _sidecar(tmp_path).exists()
+
+    def test_gc_keeps_current_sidecars_and_evicts_stale_ones(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.statistics("trfd", "tiny")
+        stale = tmp_path / f"bdna-tiny-v{TRACE_STORE_VERSION + 1}.stats.json"
+        stale.write_text("{}", encoding="utf-8")
+        orphan = tmp_path / f".{_sidecar(tmp_path).name}.1234.deadbeef.tmp"
+        orphan.write_text("{", encoding="utf-8")
+        assert store.gc() == (2, 2)  # kept: the trace and its sidecar
+        assert not stale.exists() and not orphan.exists()
+        assert _sidecar(tmp_path).is_file()
+        assert store.gc() == (2, 0)
+
+    def test_session_gc_evicts_stale_sidecars(self, tmp_path):
+        traces = tmp_path / TRACE_SUBDIR
+        TraceStore(traces).statistics("trfd", "tiny")
+        (traces / f"trfd-tiny-v{TRACE_STORE_VERSION + 1}.stats.json").write_text(
+            "{}", encoding="utf-8")
+        with Session(cache_dir=tmp_path) as session:
+            assert session.gc()["traces"] == (2, 1)
+        assert _sidecar(traces).is_file()
+
+
+class TestWarmRunAll:
+    def test_warm_run_compiles_traces_and_simulates_nothing(self, tmp_path, monkeypatch):
+        # The warm-path contract: a repeat run over a filled cache dir only
+        # reads.  Compiling a kernel or generating a trace is a failure.
+        with Session(cache_dir=tmp_path) as session:
+            cold = session.exhibits(programs=("trfd",))
+            assert session.engine.simulated > 0
+            assert session.trace_store.generated == 1
+        clear_workload_caches()
+
+        import repro.workloads.base as base
+
+        def boom(*args, **kwargs):
+            raise AssertionError("warm run compiled a kernel or generated a trace")
+
+        monkeypatch.setattr(base, "compile_kernel", boom)
+        monkeypatch.setattr(base, "generate_trace", boom)
+        with Session(cache_dir=tmp_path) as session:
+            warm = session.exhibits(programs=("trfd",))
+            assert session.engine.simulated == 0
+            assert (session.trace_store.generated, session.trace_store.disk_hits) == (0, 0)
+            assert "traces: 0 compiled" in session.summary()
+        assert warm.payload()["exhibits"] == cold.payload()["exhibits"]
