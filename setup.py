@@ -10,14 +10,13 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-ooova",
-    version="0.3.0",
+    version="2.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",
-            "repro-bench = repro.bench:main",
         ],
     },
 )

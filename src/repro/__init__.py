@@ -36,13 +36,12 @@ from repro.core import (
     ooo_config,
     reference_config,
     run,
-    run_cached,
     simulate_trace,
     standard_configs,
 )
 from repro.workloads import WORKLOAD_NAMES, all_workloads, get_workload
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "MachineConfig",
@@ -51,7 +50,6 @@ __all__ = [
     "ooo_config",
     "reference_config",
     "run",
-    "run_cached",
     "simulate_trace",
     "standard_configs",
     "WORKLOAD_NAMES",

@@ -35,7 +35,7 @@ every exhibit derived from it — is identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.api.request import RunRequest, RunResult
 from repro.common.errors import ReproError

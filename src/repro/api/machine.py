@@ -2,14 +2,12 @@
 
 Re-exports the :class:`~repro.core.machines.Machine` protocol — the
 ``run_slice`` / ``finalise`` / ``snapshot`` / ``restore`` contract that
-``_OOORun`` and ``_ReferenceRun`` have shared de facto since the chunked
-simulator landed — together with the named registry that the simulator
-(:func:`repro.core.simulator.simulate_trace`), the experiment engine and
-the chunked driver all dispatch through.  Registering a
+``_OOORun`` and ``_ReferenceRun`` share — together with the named registry
+that the simulator (:func:`repro.core.simulator.simulate_trace`) and the
+experiment engine dispatch through.  Registering a
 :class:`~repro.core.machines.MachineModel` is everything a new timing
-model needs to participate in single-point simulation, sweep grids and
-(optionally, via the chunking hooks) speculative chunked execution — no
-driver code changes required.
+model needs to participate in single-point simulation and sweep grids —
+no driver code changes required.
 """
 
 from __future__ import annotations

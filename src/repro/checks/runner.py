@@ -24,7 +24,6 @@ from typing import Sequence
 
 # importing the pass modules registers the built-in rule families
 import repro.checks.effects  # noqa: F401  (registration side effect)
-import repro.checks.envelope  # noqa: F401  (registration side effect)
 import repro.checks.fleetlint  # noqa: F401  (registration side effect)
 import repro.checks.parity  # noqa: F401  (registration side effect)
 import repro.checks.rules  # noqa: F401  (registration side effect)
@@ -39,8 +38,8 @@ from repro.checks.model import (
 from repro.checks.report import render_json, render_text
 
 #: packages the check passes protect by default: the machine kernel, both
-#: timing models, their shared libraries, the ISA, the memory system, the
-#: chunked simulator and the fleet coordination layer
+#: timing models, their shared libraries, the ISA, the memory system and
+#: the fleet coordination layer
 DEFAULT_PATHS: tuple[str, ...] = (
     "src/repro/machine",
     "src/repro/ooo",
@@ -48,7 +47,6 @@ DEFAULT_PATHS: tuple[str, ...] = (
     "src/repro/common",
     "src/repro/isa",
     "src/repro/memory",
-    "src/repro/parallel",
     "src/repro/fleet",
 )
 
@@ -130,8 +128,8 @@ def build_parser(prog: str = "repro check") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "statically analyze simulation code: component contract, "
-            "envelope contract, kernel parity, ambient effects, "
-            "determinism and fleet protocol rules"
+            "kernel parity, ambient effects, determinism and fleet "
+            "protocol rules"
         ),
     )
     parser.add_argument(

@@ -17,19 +17,17 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    configure_engine,
     get_engine,
     run_experiment,
     set_engine,
 )
-from repro.core.simulator import clear_simulation_cache, run, run_cached, simulate_trace
+from repro.core.simulator import clear_simulation_cache, run, simulate_trace
 
 __all__ = [
     "ExperimentEngine",
     "ExperimentPoint",
     "ExperimentSpec",
     "ResultStore",
-    "configure_engine",
     "get_engine",
     "run_experiment",
     "set_engine",
@@ -45,6 +43,5 @@ __all__ = [
     "SimulationResult",
     "clear_simulation_cache",
     "run",
-    "run_cached",
     "simulate_trace",
 ]

@@ -6,11 +6,10 @@ the right simulator for the configuration, and returns a
 :class:`~repro.core.results.SimulationResult` that bundles the configuration,
 the workload identity and the collected statistics.
 
-``run_cached`` routes through the experiment engine's result store (see
-:mod:`repro.core.runner`), so results are shared with the ``table*`` /
-``figure*`` experiment functions and — when a cache directory is configured
-— persist across processes.  Cached results are returned as defensive
-copies: mutating one can never corrupt later experiments.
+Memoised results go through the experiment engine's result store instead
+(``get_engine().result``, see :mod:`repro.core.runner`), so they are shared
+with the ``table*`` / ``figure*`` experiment functions and — when a cache
+directory is configured — persist across processes.
 """
 
 from __future__ import annotations
@@ -91,64 +90,6 @@ def simulate_point(
     else:
         trace = get_workload(workload_name, scale).trace()
     return simulate_trace(trace, config, kernel=kernel)
-
-
-def simulate_point_chunked(
-    workload_name: str,
-    scale: str,
-    config: MachineConfig,
-    chunk_size: int,
-    intra_jobs: int = 1,
-    trace_store: TraceStore | None = None,
-    chunk_store=None,
-    pool=None,
-    speculate: str = "auto",
-    kernel: str = "scalar",
-):
-    """Chunked counterpart of :func:`simulate_point`.
-
-    Splits the workload's trace into dependency-aware chunks and simulates
-    them through :mod:`repro.parallel` — results are bit-identical to
-    :func:`simulate_point`.  Returns ``(SimulationResult, ChunkedReport)``.
-    """
-    from repro.core.runner import ExperimentPoint
-    from repro.parallel import simulate_trace_chunked
-
-    trace_source = None
-    if trace_store is not None:
-        trace = trace_store.load_memoised(workload_name, scale)
-        # workers reload the compiled trace from the store by this locator
-        # instead of receiving pickled instruction slices per chunk
-        trace_source = (str(trace_store.cache_dir), workload_name, scale)
-    else:
-        trace = get_workload(workload_name, scale).trace()
-    fingerprint = ExperimentPoint(workload_name, scale, config).fingerprint()
-    return simulate_trace_chunked(
-        trace, config, chunk_size=chunk_size, jobs=intra_jobs,
-        speculate=speculate, chunk_store=chunk_store,
-        point_fingerprint=fingerprint, pool=pool,
-        trace_source=trace_source, kernel=kernel,
-    )
-
-
-def run_cached(workload_name: str, config: MachineConfig, scale: str = "small") -> SimulationResult:
-    """Like :func:`run`, but memoised on (workload, scale, configuration).
-
-    .. deprecated::
-        Use :meth:`repro.api.Session.result` (or
-        :meth:`repro.api.Session.run` with a :class:`repro.api.RunRequest`
-        grid) instead; this shim resolves through the process-wide default
-        engine exactly as before and will be removed in a future major
-        version.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_cached() is deprecated; use repro.api.Session.result() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return get_engine().result(workload_name, config, scale)
 
 
 def clear_simulation_cache() -> None:

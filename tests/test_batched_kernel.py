@@ -5,9 +5,9 @@ structure-of-arrays columns and steps each machine through a registered
 per-machine segment loop; the scalar kernel is the per-instruction dispatch
 table.  Their contract is *bit-identical* :class:`~repro.common.stats.SimStats`
 and snapshots for every registered machine, on any instruction sequence —
-including mid-trace slices, which is how the chunked simulator drives the
-kernel.  Machines without a registered stepper must fall back to their own
-``run_slice`` untouched (the bring-your-own-machine path).
+including mid-trace slices, which the mixed-kernel tests and the per-layer
+timing child drive.  Machines without a registered stepper must fall back to
+their own ``run_slice`` untouched (the bring-your-own-machine path).
 """
 
 from itertools import groupby
@@ -64,14 +64,14 @@ class TestEveryRegisteredMachine:
     @pytest.mark.parametrize("name", MACHINES)
     def test_builtin_machines_have_a_registered_stepper(self, name):
         # the three shipped machines must take the fast path, not the
-        # fallback — otherwise the bench acceptance silently measures
-        # scalar against scalar
+        # fallback — otherwise the kernel-equivalence checks silently
+        # compare scalar against scalar
         assert has_lowering(_fresh_run(name, TRACES["trfd"]))
 
     @pytest.mark.parametrize("name", MACHINES)
     def test_state_carries_over_between_calls(self, name):
-        # the chunked driver replays chunk after chunk through one machine;
-        # interleaving kernels mid-trace must still land on the same state
+        # one machine may be driven slice after slice; interleaving kernels
+        # mid-trace must still land on the same state
         trace = TRACES["trfd"]
         cut = len(trace) // 2
         scalar = _fresh_run(name, trace)

@@ -406,7 +406,7 @@ class TestCli:
         monkeypatch.setattr(runner, "load_module", recording_load)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         findings = run_checks([CHECKDATA], root=REPO_ROOT)
-        assert exit_code_for(findings) == 16 | 32 | 64 | 128
+        assert exit_code_for(findings) == 32 | 64 | 128
         assert len(parsed_on) > 1
         assert set(parsed_on) == {threading.main_thread()}
 
@@ -427,7 +427,6 @@ class TestCli:
             "digest-purity": 4,
             "determinism": 8,
             "malformed-suppression": 16,
-            "envelope-contract": 16,  # shares the hygiene bit: space is full
             "kernel-parity": 32,
             "ambient-effects": 64,
             "fleet-protocol": 128,
@@ -463,7 +462,6 @@ class TestPassRegistry:
             "snapshot-symmetry": 2,
             "digest-purity": 4,
             "determinism": 8,
-            "envelope-contract": 16,
             "kernel-parity": 32,
             "ambient-effects": 64,
             "fleet-protocol": 128,
@@ -677,80 +675,6 @@ class TestAmbientEffects:
                 return uuid.uuid4().hex
             """
         assert findings_for(tmp_path, source) == []
-
-
-# ---------------------------------------------------------------------------
-# envelope-contract: absorb ⇒ envelope, and envelope is read-only
-# ---------------------------------------------------------------------------
-
-
-class TestEnvelopeContract:
-    def test_fires_on_seeded_fixture(self):
-        findings = run_checks(
-            [CHECKDATA / "envelope_defect.py"], root=REPO_ROOT
-        )
-        assert {f.rule for f in findings} == {"envelope-contract"}
-        assert len(findings) == 3
-        text = "\n".join(f.message for f in findings)
-        assert "LeakyStation implements 'absorb'" in text
-        assert "no concrete 'envelope'" in text
-        assert "NoisyStation.envelope mutates 'self.probed'" in text
-        assert "NoisyStation.envelope reaches os.getpid()" in text
-        assert exit_code_for(findings) == 16
-
-    def test_exit_code_bit(self):
-        assert checks_main([str(CHECKDATA / "envelope_defect.py")]) == 16
-
-    def test_inherited_envelope_satisfies_the_pairing(self, tmp_path):
-        source = """\
-            class Enveloped:
-                def envelope(self, anchor):
-                    return []
-
-            class Station(Enveloped):
-                def absorb(self, state, delta):
-                    self.pending = list(state)
-            """
-        assert findings_for(tmp_path, source) == []
-
-    def test_abstract_envelope_does_not_satisfy_the_pairing(self, tmp_path):
-        source = """\
-            class Base:
-                def envelope(self, anchor):
-                    raise NotImplementedError
-
-            class Station(Base):
-                def absorb(self, state, delta):
-                    self.pending = list(state)
-            """
-        findings = findings_for(tmp_path, source)
-        assert [f.rule for f in findings] == ["envelope-contract"]
-        assert "Station" in findings[0].message
-
-    def test_pure_envelope_is_clean(self, tmp_path):
-        source = """\
-            class Station:
-                def absorb(self, state, delta):
-                    self.pending = [cycle + delta for cycle in state]
-
-                def envelope(self, anchor):
-                    return sorted(
-                        cycle - anchor
-                        for cycle in self.pending
-                        if cycle > anchor
-                    )
-            """
-        assert findings_for(tmp_path, source) == []
-
-    def test_suppression_with_reason_silences(self, tmp_path):
-        source = """\
-            class Station:
-                # check: ignore[envelope-contract] timeless component
-                def absorb(self, state, delta):
-                    self.count = self.count + state["count"]
-            """
-        findings = findings_for(tmp_path, source)
-        assert findings == []
 
 
 # ---------------------------------------------------------------------------

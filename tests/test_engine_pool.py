@@ -74,7 +74,6 @@ def late_machine():
         name="late",
         params_type=LateParams,
         factory=lambda params, trace: LateRun(params, trace),
-        snapshot_kind="late",
     )
     # both registries are process-global: drop the stub again
     from repro.common import params as params_module

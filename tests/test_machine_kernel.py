@@ -219,7 +219,6 @@ class TestMinimalRegisteredMachine:
             name="kernel-test-flat",
             params_type=FlatParams,
             factory=lambda params, trace: FlatRun(params, trace),
-            snapshot_kind="kernel-test-flat",
         ))
         yield model
         # both registries are process-global; drop the stub so registry-
@@ -268,4 +267,4 @@ def test_custom_machine_example_runs():
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert "bit-identical by exact replay" in result.stdout
+    assert "identical when resumed from a mid-trace snapshot" in result.stdout

@@ -25,10 +25,10 @@ from repro.core.runner import (
     ExperimentPoint,
     ExperimentSpec,
     ResultStore,
-    configure_engine,
+    get_engine,
     set_engine,
 )
-from repro.core.simulator import run, run_cached
+from repro.core.simulator import run
 
 
 @pytest.fixture(autouse=True)
@@ -220,7 +220,7 @@ class TestEngine:
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentEngine(jobs=0)
+            ExperimentEngine(plan=ExecutionPlan(jobs=0))
 
     def test_warm_disk_cache_skips_all_simulation(self, tmp_path):
         spec = ExperimentSpec.grid(
@@ -239,15 +239,77 @@ class TestEngine:
         assert "1 simulated" in engine.summary()
 
 
-class TestRunCachedIntegration:
-    def test_run_cached_uses_configured_engine(self, tmp_path):
-        engine = configure_engine(cache_dir=tmp_path, jobs=1, store="json")
-        run_cached("trfd", ooo_config(), scale="tiny")
+class TestDefaultEngineIntegration:
+    def test_default_engine_result_uses_installed_engine(self, tmp_path):
+        engine = ExperimentEngine(
+            ResultStore(tmp_path, backend="json"), plan=ExecutionPlan(jobs=1))
+        set_engine(engine)
+        get_engine().result("trfd", ooo_config(), scale="tiny")
         assert engine.simulated == 1
         assert list(tmp_path.glob("??/*.json"))
         # Same point again: served from the store, no new simulation.
-        run_cached("trfd", ooo_config(), scale="tiny")
+        get_engine().result("trfd", ooo_config(), scale="tiny")
         assert engine.simulated == 1
+
+
+class TestSimulateCommand:
+    def test_simulate_monolithic_text(self, capsys):
+        from repro.cli import main
+
+        assert main(["simulate", "--program", "nasa7",
+                     "--config", "reference"]) == 0
+        out = capsys.readouterr().out
+        assert "nasa7 on reference" in out
+        assert "wall time" in out
+
+    def test_simulate_json_matches_the_engine_result(self, capsys):
+        from repro.cli import main
+        from repro.core.config import get_config
+
+        assert main(["simulate", "--program", "nasa7", "--config", "ooo",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"result", "wall_s"}
+        expected = get_engine().result("nasa7", get_config("ooo"), "small")
+        assert payload["result"]["stats"] == expected.stats.to_dict()
+
+    def test_simulate_kernels_agree(self, capsys):
+        from repro.cli import main
+
+        stats = []
+        for kernel in ("scalar", "batched"):
+            assert main(["simulate", "--program", "trfd", "--config",
+                         "ooo-late-sle-vle", "--kernel", kernel,
+                         "--format", "json"]) == 0
+            stats.append(json.loads(capsys.readouterr().out)["result"]["stats"])
+        assert stats[0] == stats[1]
+
+    def test_simulate_rejects_unknown_program(self, capsys):
+        from repro.cli import main
+
+        assert main(["simulate", "--program", "nope"]) == 2
+        assert "unknown program" in capsys.readouterr().err
+
+    def test_simulate_rejects_unknown_config(self, capsys):
+        from repro.cli import main
+
+        assert main(["simulate", "--program", "nasa7",
+                     "--config", "warp-drive"]) == 2
+        assert "unknown configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", (
+        ["simulate", "--program", "nasa7", "--chunk-size", "300"],
+        ["simulate", "--program", "nasa7", "--intra-jobs", "2"],
+        ["run-all", "--chunk-size", "300"],
+        ["run-all", "--intra-jobs", "2"],
+    ))
+    def test_removed_chunk_flags_are_rejected(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(command)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCLI:
