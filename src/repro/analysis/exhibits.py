@@ -3,7 +3,9 @@
 Each :class:`Exhibit` pairs one ``table*``/``figure*`` experiment function
 with the matching ASCII report formatter, so the command line
 (``python -m repro.cli run-all``) and any other driver can produce the
-paper's whole evaluation from a single list.
+paper's whole evaluation from a single list.  A simulating exhibit also
+declares its sweep grid next to its ``run``, so a driver can plan every
+selected exhibit's points before computing any of them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.analysis.report import (
 )
 from repro.core import experiments
 from repro.core.config import LATENCY_SWEEP, REFERENCE_LATENCY_SWEEP, REGISTER_SWEEP
-from repro.core.experiments import LOAD_ELIMINATION_REGISTER_SWEEP
+from repro.core.experiments import LOAD_ELIMINATION_REGISTER_SWEEP, Grid
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,9 @@ class Exhibit:
     run: Callable[[Iterable[str] | None, str], object]
     #: exhibit data -> ASCII report
     render: Callable[[object], str]
+    #: (programs, scale) -> the one sweep grid ``run`` resolves, declared
+    #: without simulating anything (``None``: the exhibit simulates nothing)
+    grid: Callable[[Iterable[str] | None, str], Grid] | None = None
 
 
 def _render_table1(latencies: dict) -> str:
@@ -77,44 +82,52 @@ EXHIBITS: tuple[Exhibit, ...] = (
         lambda programs, scale: experiments.figure3_reference_state_breakdown(
             programs, scale=scale),
         report_state_breakdown,
+        lambda programs, scale: experiments.figure3_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure4", "Figure 4: reference-machine memory-port idle time",
         lambda programs, scale: experiments.figure4_reference_port_idle(programs, scale=scale),
         lambda data: report_port_idle(
             data, f"Figure 4 (latencies {REFERENCE_LATENCY_SWEEP})"),
+        lambda programs, scale: experiments.figure4_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure5", "Figure 5: OOOVA speedup vs physical registers",
         lambda programs, scale: experiments.figure5_speedup_vs_registers(programs, scale=scale),
         lambda data: report_speedup_curves(data, REGISTER_SWEEP),
+        lambda programs, scale: experiments.figure5_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure6", "Figure 6: memory-port idle time, REF vs OOOVA",
         lambda programs, scale: experiments.figure6_port_idle_comparison(programs, scale=scale),
         lambda data: report_port_idle(data, "Figure 6"),
+        lambda programs, scale: experiments.figure6_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure7", "Figure 7: state breakdown, REF vs OOOVA",
         lambda programs, scale: experiments.figure7_state_breakdown_comparison(
             programs, scale=scale),
         report_state_breakdown,
+        lambda programs, scale: experiments.figure7_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure8", "Figure 8: execution time vs memory latency",
         lambda programs, scale: experiments.figure8_latency_tolerance(programs, scale=scale),
         lambda data: report_latency_tolerance(data, LATENCY_SWEEP),
+        lambda programs, scale: experiments.figure8_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure9", "Figure 9: early vs late (precise-trap) commit",
         lambda programs, scale: experiments.figure9_commit_models(programs, scale=scale),
         _render_figure9,
+        lambda programs, scale: experiments.figure9_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure10", "Figure 10: lost decode cycles",
         lambda programs, scale: experiments.figure10_lost_decode_cycles(
             programs, scale=scale),
         report_lost_decode,
+        lambda programs, scale: experiments.figure10_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure11", "Figure 11: scalar load elimination speedup",
@@ -122,6 +135,7 @@ EXHIBITS: tuple[Exhibit, ...] = (
         lambda data: report_simple_curves(
             data, LOAD_ELIMINATION_REGISTER_SWEEP,
             "Figure 11: SLE speedup over late-commit OOOVA"),
+        lambda programs, scale: experiments.figure11_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure12", "Figure 12: scalar+vector load elimination speedup",
@@ -129,16 +143,19 @@ EXHIBITS: tuple[Exhibit, ...] = (
         lambda data: report_simple_curves(
             data, LOAD_ELIMINATION_REGISTER_SWEEP,
             "Figure 12: SLE+VLE speedup over late-commit OOOVA"),
+        lambda programs, scale: experiments.figure12_grid(programs, scale=scale),
     ),
     Exhibit(
         "figure13", "Figure 13: memory-traffic reduction",
         lambda programs, scale: experiments.figure13_traffic_reduction(programs, scale=scale),
         report_traffic_reduction,
+        lambda programs, scale: experiments.figure13_grid(programs, scale=scale),
     ),
     Exhibit(
         "table4", "Table 4: machine comparison across the registry",
         lambda programs, scale: experiments.table4_machine_comparison(programs, scale=scale),
         report_machine_comparison,
+        lambda programs, scale: experiments.table4_grid(programs, scale=scale),
     ),
 )
 

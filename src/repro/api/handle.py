@@ -107,7 +107,7 @@ class RunHandle:
         if missing:
             self._batch = self._engine.fleet_dispatcher().submit(missing)
             # the eager path delegates here, not via the engine's own
-            # _execute_fleet (which will see cache hits by compute time) —
+            # _fleet_results (which will see cache hits by compute time) —
             # keep the "dispatched" counter meaningful for summaries
             self._engine.fleet_points += len(missing)
 

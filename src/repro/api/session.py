@@ -242,9 +242,12 @@ class Session:
     ) -> Iterator[ExhibitResult]:
         """Compute the selected exhibits lazily, in paper order.
 
-        Yields each :class:`~repro.api.ExhibitResult` as soon as it is
-        computed (the CLI streams its text output from this).  All
-        simulation resolves through this session's engine and stores.
+        Before computing anything, the grid every selected exhibit declares
+        is collected and all their missing points are queued on the engine
+        as one longest-first stream.  Each :class:`~repro.api.ExhibitResult`
+        is then yielded as soon as its own points have arrived (the CLI
+        streams its text output from this).  All simulation resolves
+        through this session's engine and stores.
         """
         self._check_open()
         from repro.analysis.exhibits import get_exhibits
@@ -258,6 +261,12 @@ class Session:
         selected = validate_programs(
             tuple(programs) if programs is not None else None)
         resolved_scale = resolve_scale(scale)
+        self.engine.enqueue(
+            point
+            for exhibit in exhibits
+            if exhibit.grid is not None
+            for point in exhibit.grid(selected, resolved_scale).spec.points
+        )
         for exhibit in exhibits:
             started = time.perf_counter()
             with engine_scope(self.engine):

@@ -53,15 +53,16 @@ class Interval(NamedTuple):
 
 def merge_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     """Merge overlapping or adjacent intervals into a sorted, disjoint list."""
-    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
     merged: list[Interval] = []
-    for iv in ordered:
-        if iv.length == 0:
+    # plain tuple order is (start, end) order
+    for iv in sorted(intervals):
+        start, end = iv
+        if start == end:
             continue
-        if merged and iv.start <= merged[-1].end:
+        if merged and start <= merged[-1][1]:
             last = merged[-1]
-            if iv.end > last.end:
-                merged[-1] = Interval(last.start, iv.end)
+            if end > last[1]:
+                merged[-1] = Interval(last[0], end)
         else:
             merged.append(iv)
     return merged
@@ -162,7 +163,7 @@ class BusyTracker:
         if self._flat is not None:
             it = iter(self._flat)
             return list(map(list, zip(it, it)))
-        return [[iv.start, iv.end] for iv in merge_intervals(self._list)]
+        return list(map(list, merge_intervals(self._list)))
 
     @classmethod
     def from_pairs(cls, name: str, pairs: Iterable[Sequence[int]]) -> "BusyTracker":

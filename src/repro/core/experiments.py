@@ -8,18 +8,20 @@ EXPERIMENTS.md records the measured values next to the paper's.  All
 functions accept a ``programs`` subset and a ``scale`` so the test suite can
 exercise them cheaply.
 
-Every function declares its sweep grid as an
-:class:`~repro.core.runner.ExperimentSpec` and resolves it through the
-experiment engine in one batch: the engine simulates only the points missing
-from its result store and can fan the batch out across worker processes
-(``--jobs``), so a figure's whole grid is computed with maximum reuse and
-parallelism instead of one serial per-point loop.
+Every simulating function builds exactly one :class:`Grid` through a
+matching ``*_grid`` function, which declares the sweep without running
+anything.  A driver can therefore collect the grids of every exhibit up
+front (:meth:`repro.api.Session.iter_exhibits` does) and queue all their
+missing points on the experiment engine before the first exhibit is
+computed.  Resolving a grid then waits only for its own points: the engine
+streams results from one longest-first queue, simulating only what its
+result store lacks, across worker processes with ``--jobs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.common.params import CommitModel, FunctionalUnitLatencies, LoadElimination
 from repro.core.config import (
@@ -54,23 +56,36 @@ def _programs(programs: Iterable[str] | None) -> tuple[str, ...]:
     return tuple(programs) if programs is not None else WORKLOAD_NAMES
 
 
-class _Grid:
-    """Resolved sweep grid: point lookup by (workload, config)."""
+class Grid:
+    """One exhibit's sweep grid: declared first, resolved on demand.
+
+    ``configs`` maps the exhibit's own labels to machine configurations;
+    the grid is their cross product with ``workloads``.  Declaring a grid
+    simulates nothing (:attr:`spec` is the point list a planner queues);
+    :meth:`resolve` fetches every point through the experiment engine, after
+    which ``grid(workload, label)`` is the result for that cell.
+    """
 
     def __init__(
         self,
         name: str,
         workloads: Sequence[str],
-        configs: Sequence[MachineConfig],
+        configs: Mapping[Hashable, MachineConfig],
         scale: str,
-        engine: ExperimentEngine | None,
     ) -> None:
+        self.workloads = tuple(workloads)
+        self.configs = dict(configs)
         self.scale = scale
-        spec = ExperimentSpec.grid(name, workloads, configs, scale)
-        self._results = run_experiment(spec, engine)
+        self.spec = ExperimentSpec.grid(name, self.workloads, self.configs.values(), scale)
+        self._results: Mapping[ExperimentPoint, SimulationResult] = {}
 
-    def __call__(self, workload: str, config: MachineConfig) -> SimulationResult:
-        return self._results[ExperimentPoint(workload, self.scale, config)]
+    def resolve(self, engine: ExperimentEngine | None) -> "Grid":
+        """Fetch every point (default: through the process-wide engine)."""
+        self._results = run_experiment(self.spec, engine)
+        return self
+
+    def __call__(self, workload: str, label: Hashable) -> SimulationResult:
+        return self._results[ExperimentPoint(workload, self.scale, self.configs[label])]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +137,17 @@ def table3_spill_statistics(
 # ---------------------------------------------------------------------------
 
 
+def figure3_grid(
+    programs: Iterable[str] | None = None,
+    latencies: Sequence[int] = REFERENCE_LATENCY_SWEEP,
+    scale: str = "small",
+) -> Grid:
+    """Figure 3's grid: the reference machine at every latency."""
+    selected = tuple(programs) if programs is not None else FIGURE3_PROGRAMS
+    configs = {latency: reference_config(latency) for latency in latencies}
+    return Grid("figure3", selected, configs, scale)
+
+
 def figure3_reference_state_breakdown(
     programs: Iterable[str] | None = None,
     latencies: Sequence[int] = REFERENCE_LATENCY_SWEEP,
@@ -133,16 +159,24 @@ def figure3_reference_state_breakdown(
     The paper shows the two representative programs hydro2d and dyfesm; by
     default this does the same, but any subset can be requested.
     """
-    selected = tuple(programs) if programs is not None else FIGURE3_PROGRAMS
-    configs = {latency: reference_config(latency) for latency in latencies}
-    grid = _Grid("figure3", selected, tuple(configs.values()), scale, engine)
+    grid = figure3_grid(programs, latencies, scale).resolve(engine)
     return {
         name: {
-            latency: grid(name, config).stats.state_breakdown()
-            for latency, config in configs.items()
+            latency: grid(name, latency).stats.state_breakdown()
+            for latency in grid.configs
         }
-        for name in selected
+        for name in grid.workloads
     }
+
+
+def figure4_grid(
+    programs: Iterable[str] | None = None,
+    latencies: Sequence[int] = REFERENCE_LATENCY_SWEEP,
+    scale: str = "small",
+) -> Grid:
+    """Figure 4's grid: the reference machine at every latency."""
+    configs = {latency: reference_config(latency) for latency in latencies}
+    return Grid("figure4", _programs(programs), configs, scale)
 
 
 def figure4_reference_port_idle(
@@ -152,21 +186,35 @@ def figure4_reference_port_idle(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[int, float]]:
     """Figure 4: % cycles the memory port is idle on the reference machine."""
-    names = _programs(programs)
-    configs = {latency: reference_config(latency) for latency in latencies}
-    grid = _Grid("figure4", names, tuple(configs.values()), scale, engine)
+    grid = figure4_grid(programs, latencies, scale).resolve(engine)
     return {
         name: {
-            latency: grid(name, config).stats.memory_port_idle_fraction()
-            for latency, config in configs.items()
+            latency: grid(name, latency).stats.memory_port_idle_fraction()
+            for latency in grid.configs
         }
-        for name in names
+        for name in grid.workloads
     }
 
 
 # ---------------------------------------------------------------------------
 # OOOVA performance (Figures 5, 6, 7, 8)
 # ---------------------------------------------------------------------------
+
+
+def figure5_grid(
+    programs: Iterable[str] | None = None,
+    register_counts: Sequence[int] = REGISTER_SWEEP,
+    latency: int = DEFAULT_LATENCY,
+    scale: str = "small",
+) -> Grid:
+    """Figure 5's grid: the reference machine plus both OOOVA queue sizes
+    at every register count (labels ``"REF"`` and ``(regs, slots)``)."""
+    configs: dict[Hashable, MachineConfig] = {"REF": reference_config(latency)}
+    for regs in register_counts:
+        for slots in (16, 128):
+            configs[(regs, slots)] = ooo_config(
+                phys_vregs=regs, latency=latency, queue_slots=slots)
+    return Grid("figure5", _programs(programs), configs, scale)
 
 
 def figure5_speedup_vs_registers(
@@ -181,28 +229,41 @@ def figure5_speedup_vs_registers(
     Returns, per program, the speedup curves of the 16-slot-queue and
     128-slot-queue machines plus the IDEAL upper bound.
     """
-    names = _programs(programs)
-    ref = reference_config(latency)
-    ooo_grid = {
-        (regs, slots): ooo_config(phys_vregs=regs, latency=latency, queue_slots=slots)
-        for regs in register_counts
-        for slots in (16, 128)
-    }
-    grid = _Grid("figure5", names, (ref, *ooo_grid.values()), scale, engine)
+    grid = figure5_grid(programs, register_counts, latency, scale).resolve(engine)
     results: dict[str, dict[str, Mapping]] = {}
-    for name in names:
-        reference = grid(name, ref)
+    for name in grid.workloads:
+        reference = grid(name, "REF")
         ideal_cycles = reference.stats.ideal_cycles()
         curves: dict[str, dict[int, float]] = {"OOOVA-16": {}, "OOOVA-128": {}}
         for regs in register_counts:
             for label, slots in (("OOOVA-16", 16), ("OOOVA-128", 128)):
-                result = grid(name, ooo_grid[(regs, slots)])
-                curves[label][regs] = result.speedup_over(reference)
+                curves[label][regs] = grid(name, (regs, slots)).speedup_over(reference)
         results[name] = {
             "curves": curves,
             "ideal": reference.cycles / ideal_cycles if ideal_cycles else float("inf"),
         }
     return results
+
+
+def _ref_vs_ooo_grid(
+    name: str, programs: Iterable[str] | None, latency: int, phys_vregs: int, scale: str
+) -> Grid:
+    """The reference machine against the OOOVA (labels ``"REF"``, ``"OOOVA"``)."""
+    configs = {
+        "REF": reference_config(latency),
+        "OOOVA": ooo_config(phys_vregs=phys_vregs, latency=latency),
+    }
+    return Grid(name, _programs(programs), configs, scale)
+
+
+def figure6_grid(
+    programs: Iterable[str] | None = None,
+    latency: int = DEFAULT_LATENCY,
+    phys_vregs: int = 16,
+    scale: str = "small",
+) -> Grid:
+    """Figure 6's grid: the reference machine against the OOOVA."""
+    return _ref_vs_ooo_grid("figure6", programs, latency, phys_vregs, scale)
 
 
 def figure6_port_idle_comparison(
@@ -213,17 +274,24 @@ def figure6_port_idle_comparison(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[str, float]]:
     """Figure 6: memory-port idle fraction, reference versus OOOVA."""
-    names = _programs(programs)
-    ref = reference_config(latency)
-    ooo = ooo_config(phys_vregs=phys_vregs, latency=latency)
-    grid = _Grid("figure6", names, (ref, ooo), scale, engine)
+    grid = figure6_grid(programs, latency, phys_vregs, scale).resolve(engine)
     return {
         name: {
-            "REF": grid(name, ref).stats.memory_port_idle_fraction(),
-            "OOOVA": grid(name, ooo).stats.memory_port_idle_fraction(),
+            label: grid(name, label).stats.memory_port_idle_fraction()
+            for label in grid.configs
         }
-        for name in names
+        for name in grid.workloads
     }
+
+
+def figure7_grid(
+    programs: Iterable[str] | None = None,
+    latency: int = DEFAULT_LATENCY,
+    phys_vregs: int = 16,
+    scale: str = "small",
+) -> Grid:
+    """Figure 7's grid: the reference machine against the OOOVA."""
+    return _ref_vs_ooo_grid("figure7", programs, latency, phys_vregs, scale)
 
 
 def figure7_state_breakdown_comparison(
@@ -234,17 +302,30 @@ def figure7_state_breakdown_comparison(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[str, dict[tuple[bool, bool, bool], int]]]:
     """Figure 7: execution-state breakdown, reference versus OOOVA."""
-    names = _programs(programs)
-    ref = reference_config(latency)
-    ooo = ooo_config(phys_vregs=phys_vregs, latency=latency)
-    grid = _Grid("figure7", names, (ref, ooo), scale, engine)
+    grid = figure7_grid(programs, latency, phys_vregs, scale).resolve(engine)
     return {
         name: {
-            "REF": grid(name, ref).stats.state_breakdown(),
-            "OOOVA": grid(name, ooo).stats.state_breakdown(),
+            label: grid(name, label).stats.state_breakdown()
+            for label in grid.configs
         }
-        for name in names
+        for name in grid.workloads
     }
+
+
+def figure8_grid(
+    programs: Iterable[str] | None = None,
+    latencies: Sequence[int] = LATENCY_SWEEP,
+    phys_vregs: int = 16,
+    scale: str = "small",
+) -> Grid:
+    """Figure 8's grid: both machines at every latency
+    (labels ``("REF", latency)`` and ``("OOOVA", latency)``)."""
+    configs: dict[Hashable, MachineConfig] = {
+        ("REF", latency): reference_config(latency) for latency in latencies
+    }
+    for latency in latencies:
+        configs[("OOOVA", latency)] = ooo_config(phys_vregs=phys_vregs, latency=latency)
+    return Grid("figure8", _programs(programs), configs, scale)
 
 
 def figure8_latency_tolerance(
@@ -255,23 +336,16 @@ def figure8_latency_tolerance(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[str, dict[int, int]]]:
     """Figure 8: execution time versus main-memory latency (REF, OOOVA, IDEAL)."""
-    names = _programs(programs)
-    ref_configs = {latency: reference_config(latency) for latency in latencies}
-    ooo_configs = {
-        latency: ooo_config(phys_vregs=phys_vregs, latency=latency) for latency in latencies
-    }
-    grid = _Grid(
-        "figure8", names, (*ref_configs.values(), *ooo_configs.values()), scale, engine
-    )
+    grid = figure8_grid(programs, latencies, phys_vregs, scale).resolve(engine)
     results: dict[str, dict[str, dict[int, int]]] = {}
-    for name in names:
+    for name in grid.workloads:
         ref_curve: dict[int, int] = {}
         ooo_curve: dict[int, int] = {}
         ideal_curve: dict[int, int] = {}
         for latency in latencies:
-            reference = grid(name, ref_configs[latency])
+            reference = grid(name, ("REF", latency))
             ref_curve[latency] = reference.cycles
-            ooo_curve[latency] = grid(name, ooo_configs[latency]).cycles
+            ooo_curve[latency] = grid(name, ("OOOVA", latency)).cycles
             ideal_curve[latency] = reference.stats.ideal_cycles()
         results[name] = {"REF": ref_curve, "OOOVA": ooo_curve, "IDEAL": ideal_curve}
     return results
@@ -280,6 +354,21 @@ def figure8_latency_tolerance(
 # ---------------------------------------------------------------------------
 # Machine comparison across the registry (Table 4)
 # ---------------------------------------------------------------------------
+
+
+def table4_grid(
+    programs: Iterable[str] | None = None,
+    latency: int = DEFAULT_LATENCY,
+    phys_vregs: int = 16,
+    scale: str = "small",
+) -> Grid:
+    """Table 4's grid: the three registered machine organisations."""
+    configs = {
+        "REF": reference_config(latency),
+        "INORDER": inorder_config(phys_vregs=phys_vregs, latency=latency),
+        "OOOVA": ooo_config(phys_vregs=phys_vregs, latency=latency),
+    }
+    return Grid("table4", _programs(programs), configs, scale)
 
 
 def table4_machine_comparison(
@@ -299,27 +388,20 @@ def table4_machine_comparison(
     resources.  The ``inorder`` column separates how much of the OOOVA's
     win comes from renaming alone and how much needs out-of-order issue.
     """
-    names = _programs(programs)
-    configs = {
-        "REF": reference_config(latency),
-        "INORDER": inorder_config(phys_vregs=phys_vregs, latency=latency),
-        "OOOVA": ooo_config(phys_vregs=phys_vregs, latency=latency),
-    }
-    grid = _Grid("table4", names, tuple(configs.values()), scale, engine)
+    grid = table4_grid(programs, latency, phys_vregs, scale).resolve(engine)
     results: dict[str, dict[str, Mapping]] = {}
-    for name in names:
-        reference = grid(name, configs["REF"])
-        cycles = {label: grid(name, config).cycles for label, config in configs.items()}
+    for name in grid.workloads:
+        reference = grid(name, "REF")
         results[name] = {
-            "cycles": cycles,
+            "cycles": {label: grid(name, label).cycles for label in grid.configs},
             "speedup": {
-                label: grid(name, config).speedup_over(reference)
-                for label, config in configs.items()
+                label: grid(name, label).speedup_over(reference)
+                for label in grid.configs
                 if label != "REF"
             },
             "port_idle": {
-                label: grid(name, config).stats.memory_port_idle_fraction()
-                for label, config in configs.items()
+                label: grid(name, label).stats.memory_port_idle_fraction()
+                for label in grid.configs
             },
         }
     return results
@@ -346,6 +428,19 @@ def lost_decode_row(stats) -> dict[str, object]:
     }
 
 
+def figure10_grid(
+    programs: Iterable[str] | None = None,
+    register_counts: Sequence[int] = REGISTER_SWEEP,
+    latency: int = DEFAULT_LATENCY,
+    scale: str = "small",
+) -> Grid:
+    """Figure 10's grid: the early-commit OOOVA at every register count."""
+    configs = {
+        regs: ooo_config(phys_vregs=regs, latency=latency) for regs in register_counts
+    }
+    return Grid("figure10", _programs(programs), configs, scale)
+
+
 def figure10_lost_decode_cycles(
     programs: Iterable[str] | None = None,
     register_counts: Sequence[int] = REGISTER_SWEEP,
@@ -360,23 +455,32 @@ def figure10_lost_decode_cycles(
     simulations: pressure on the rename free lists falls (and the lost
     fraction with it) as physical registers are added.
     """
-    names = _programs(programs)
-    configs = {
-        regs: ooo_config(phys_vregs=regs, latency=latency) for regs in register_counts
-    }
-    grid = _Grid("figure10", names, tuple(configs.values()), scale, engine)
+    grid = figure10_grid(programs, register_counts, latency, scale).resolve(engine)
     return {
-        name: {
-            regs: lost_decode_row(grid(name, config).stats)
-            for regs, config in configs.items()
-        }
-        for name in names
+        name: {regs: lost_decode_row(grid(name, regs).stats) for regs in grid.configs}
+        for name in grid.workloads
     }
 
 
 # ---------------------------------------------------------------------------
 # Precise traps (Figure 9)
 # ---------------------------------------------------------------------------
+
+
+def figure9_grid(
+    programs: Iterable[str] | None = None,
+    register_counts: Sequence[int] = REGISTER_SWEEP,
+    latency: int = DEFAULT_LATENCY,
+    scale: str = "small",
+) -> Grid:
+    """Figure 9's grid: the reference machine plus early- and late-commit
+    OOOVAs (labels ``"REF"`` and ``(commit, regs)``)."""
+    configs: dict[Hashable, MachineConfig] = {"REF": reference_config(latency)}
+    for label, commit_model in (("early", CommitModel.EARLY), ("late", CommitModel.LATE)):
+        for regs in register_counts:
+            configs[(label, regs)] = ooo_config(
+                phys_vregs=regs, latency=latency, commit_model=commit_model)
+    return Grid("figure9", _programs(programs), configs, scale)
 
 
 def figure9_commit_models(
@@ -387,30 +491,16 @@ def figure9_commit_models(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Figure 9: speedup over the reference machine, early versus late commit."""
-    names = _programs(programs)
-    ref = reference_config(latency)
-    early_configs = {
-        regs: ooo_config(phys_vregs=regs, latency=latency) for regs in register_counts
-    }
-    late_configs = {
-        regs: ooo_config(phys_vregs=regs, latency=latency, commit_model=CommitModel.LATE)
-        for regs in register_counts
-    }
-    grid = _Grid(
-        "figure9", names, (ref, *early_configs.values(), *late_configs.values()), scale, engine
-    )
+    grid = figure9_grid(programs, register_counts, latency, scale).resolve(engine)
     results: dict[str, dict[str, dict[int, float]]] = {}
-    for name in names:
-        reference = grid(name, ref)
+    for name in grid.workloads:
+        reference = grid(name, "REF")
         results[name] = {
-            "early": {
-                regs: grid(name, config).speedup_over(reference)
-                for regs, config in early_configs.items()
-            },
-            "late": {
-                regs: grid(name, config).speedup_over(reference)
-                for regs, config in late_configs.items()
-            },
+            label: {
+                regs: grid(name, (label, regs)).speedup_over(reference)
+                for regs in register_counts
+            }
+            for label in ("early", "late")
         }
     return results
 
@@ -420,37 +510,49 @@ def figure9_commit_models(
 # ---------------------------------------------------------------------------
 
 
-def _load_elimination_speedups(
+def _load_elimination_grid(
     grid_name: str,
     elimination: LoadElimination,
     programs: Iterable[str] | None,
     register_counts: Sequence[int],
     latency: int,
     scale: str,
-    engine: ExperimentEngine | None,
-) -> dict[str, dict[int, float]]:
-    names = _programs(programs)
-    baselines = {
-        regs: ooo_config(phys_vregs=regs, latency=latency, commit_model=CommitModel.LATE)
-        for regs in register_counts
-    }
-    improved = {
-        regs: ooo_config(
-            phys_vregs=regs,
-            latency=latency,
-            commit_model=CommitModel.LATE,
-            load_elimination=elimination,
-        )
-        for regs in register_counts
-    }
-    grid = _Grid(grid_name, names, (*baselines.values(), *improved.values()), scale, engine)
+) -> Grid:
+    """Late-commit OOOVAs with and without ``elimination`` at every register
+    count (labels ``("base", regs)`` and ``("improved", regs)``)."""
+    configs: dict[Hashable, MachineConfig] = {}
+    for label, variant in (("base", LoadElimination.NONE), ("improved", elimination)):
+        for regs in register_counts:
+            configs[(label, regs)] = ooo_config(
+                phys_vregs=regs,
+                latency=latency,
+                commit_model=CommitModel.LATE,
+                load_elimination=variant,
+            )
+    return Grid(grid_name, _programs(programs), configs, scale)
+
+
+def _load_elimination_speedups(grid: Grid, engine: ExperimentEngine | None,
+                               register_counts: Sequence[int]) -> dict[str, dict[int, float]]:
+    grid.resolve(engine)
     return {
         name: {
-            regs: grid(name, improved[regs]).speedup_over(grid(name, baselines[regs]))
+            regs: grid(name, ("improved", regs)).speedup_over(grid(name, ("base", regs)))
             for regs in register_counts
         }
-        for name in names
+        for name in grid.workloads
     }
+
+
+def figure11_grid(
+    programs: Iterable[str] | None = None,
+    register_counts: Sequence[int] = LOAD_ELIMINATION_REGISTER_SWEEP,
+    latency: int = DEFAULT_LATENCY,
+    scale: str = "small",
+) -> Grid:
+    """Figure 11's grid: late-commit OOOVAs with and without SLE."""
+    return _load_elimination_grid(
+        "figure11", LoadElimination.SLE, programs, register_counts, latency, scale)
 
 
 def figure11_sle_speedup(
@@ -461,9 +563,19 @@ def figure11_sle_speedup(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[int, float]]:
     """Figure 11: speedup of scalar load elimination over the late-commit OOOVA."""
-    return _load_elimination_speedups(
-        "figure11", LoadElimination.SLE, programs, register_counts, latency, scale, engine
-    )
+    grid = figure11_grid(programs, register_counts, latency, scale)
+    return _load_elimination_speedups(grid, engine, register_counts)
+
+
+def figure12_grid(
+    programs: Iterable[str] | None = None,
+    register_counts: Sequence[int] = LOAD_ELIMINATION_REGISTER_SWEEP,
+    latency: int = DEFAULT_LATENCY,
+    scale: str = "small",
+) -> Grid:
+    """Figure 12's grid: late-commit OOOVAs with and without SLE+VLE."""
+    return _load_elimination_grid(
+        "figure12", LoadElimination.SLE_VLE, programs, register_counts, latency, scale)
 
 
 def figure12_sle_vle_speedup(
@@ -474,9 +586,30 @@ def figure12_sle_vle_speedup(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[int, float]]:
     """Figure 12: speedup of scalar+vector load elimination over the baseline."""
-    return _load_elimination_speedups(
-        "figure12", LoadElimination.SLE_VLE, programs, register_counts, latency, scale, engine
-    )
+    grid = figure12_grid(programs, register_counts, latency, scale)
+    return _load_elimination_speedups(grid, engine, register_counts)
+
+
+def figure13_grid(
+    programs: Iterable[str] | None = None,
+    phys_vregs: int = 32,
+    latency: int = DEFAULT_LATENCY,
+    scale: str = "small",
+) -> Grid:
+    """Figure 13's grid: the late-commit OOOVA without load elimination
+    (label ``"base"``), with SLE and with SLE+VLE."""
+    configs = {
+        label: ooo_config(
+            phys_vregs=phys_vregs,
+            latency=latency,
+            commit_model=CommitModel.LATE,
+            load_elimination=elimination,
+        )
+        for label, elimination in (("base", LoadElimination.NONE),
+                                   ("SLE", LoadElimination.SLE),
+                                   ("SLE+VLE", LoadElimination.SLE_VLE))
+    }
+    return Grid("figure13", _programs(programs), configs, scale)
 
 
 def figure13_traffic_reduction(
@@ -491,23 +624,11 @@ def figure13_traffic_reduction(
     The ratio follows Section 6.4: requests issued by the baseline OOOVA
     divided by requests issued by the load-eliminating configuration.
     """
-    names = _programs(programs)
-    baseline = ooo_config(phys_vregs=phys_vregs, latency=latency, commit_model=CommitModel.LATE)
-    eliminating = {
-        label: ooo_config(
-            phys_vregs=phys_vregs,
-            latency=latency,
-            commit_model=CommitModel.LATE,
-            load_elimination=elimination,
-        )
-        for label, elimination in (("SLE", LoadElimination.SLE),
-                                   ("SLE+VLE", LoadElimination.SLE_VLE))
-    }
-    grid = _Grid("figure13", names, (baseline, *eliminating.values()), scale, engine)
+    grid = figure13_grid(programs, phys_vregs, latency, scale).resolve(engine)
     return {
         name: {
-            label: grid(name, config).traffic_reduction_over(grid(name, baseline))
-            for label, config in eliminating.items()
+            label: grid(name, label).traffic_reduction_over(grid(name, "base"))
+            for label in ("SLE", "SLE+VLE")
         }
-        for name in names
+        for name in grid.workloads
     }

@@ -1,4 +1,4 @@
-"""Experiment engine: sweep grids, batched parallel execution, result store.
+"""Experiment engine: sweep grids, one streamed execution queue, result store.
 
 The paper's evaluation is a large grid of (workload, scale, machine
 configuration) simulation points — Figures 5, 8, 9 and 11-13 alone revisit
@@ -13,16 +13,23 @@ hundreds of them.  This module turns that grid into a first-class object:
   files, a single WAL-mode SQLite database, and an S3-style object store —
   are selected with the ``backend`` argument, the CLI's ``--store`` flag or
   the ``REPRO_STORE`` environment variable;
-* :class:`ExperimentEngine` — executes the missing points of a spec, batched
-  across a :class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``
-  (workers rebuild the simulators from the picklable points and ship results
-  back as JSON-compatible dictionaries).  One pool serves every batch of an
-  engine, so its workers keep their imported kernel, unpickled traces and
-  lowerings warm across exhibits; :meth:`ExperimentEngine.close` shuts it
-  down.  With a cache directory configured
-  the engine also memoises compiled traces on disk
-  (:class:`repro.trace.store.TraceStore`) and pre-warms them before fanning
-  out, so each workload trace is compiled at most once per grid instead of
+* :class:`ExperimentEngine` — executes the points its store lacks through
+  one queue.  :meth:`ExperimentEngine.enqueue` takes the missing points of
+  any number of grids (a session plans every exhibit's grid up front),
+  compiles their traces in the parent, orders them longest trace first and
+  streams them through the engine's one
+  :class:`concurrent.futures.ProcessPoolExecutor` (``jobs > 1``) or
+  in-process.  Whoever simulates a point also persists it, serialised once:
+  pool workers write their own results to the store backend, and the
+  parent only takes each arriving result into the memory layer.
+  :meth:`ExperimentEngine.run_spec` pulls from the stream until its own
+  points have arrived, so exhibits resolve in order, each as soon as its
+  points land, with no barrier between them.  The pool is forked once per
+  engine, after the traces it needs were compiled, so workers inherit the
+  imported kernel and the compiled traces; :meth:`ExperimentEngine.close`
+  shuts it down.  With a cache directory configured the engine also
+  memoises compiled traces on disk (:class:`repro.trace.store.TraceStore`),
+  so each workload trace is compiled at most once per cache instead of
   once per worker process.
 
 Every ``table*``/``figure*`` function in :mod:`repro.core.experiments`
@@ -40,6 +47,7 @@ import hashlib
 import itertools
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager as _contextmanager
 from concurrent.futures.process import BrokenProcessPool
@@ -135,48 +143,83 @@ class ExperimentSpec:
         return len(self.points)
 
 
-def _simulate_point(
-    point: ExperimentPoint,
-    trace_dir: str | None = None,
-    kernel: str = "scalar",
-) -> dict:
-    """Execute one point and return the serialised result.
-
-    Top-level function so :class:`ProcessPoolExecutor` can pickle it; the
-    imports are deferred to avoid a circular import with
-    :mod:`repro.core.simulator` (which imports this module).  With a
-    ``trace_dir`` the workload trace is loaded from the
-    :class:`TraceStore` instead of being recompiled.
-    """
-    from repro.core.simulator import simulate_point
-
-    trace_store = TraceStore(trace_dir) if trace_dir is not None else None
-    return simulate_point(
-        point.workload, point.scale, point.config, trace_store=trace_store,
-        kernel=kernel,
-    ).to_dict()
+def payload_key(point: ExperimentPoint) -> dict:
+    """The ``key`` section of ``point``'s persisted entry (and JSON index row)."""
+    return {
+        "workload": point.workload,
+        "scale": point.scale,
+        "config_name": point.config.name,
+        "fingerprint": point.fingerprint(),
+        "params": params_to_dict(point.config.params),
+    }
 
 
 def result_payload(point: ExperimentPoint, result: SimulationResult) -> dict:
     """The canonical persisted entry for ``(point, result)``.
 
-    Every publisher of results — :class:`ResultStore` locally, fleet
-    workers remotely — builds its payload here, so a result object is
-    byte-identical no matter which process wrote it.  That identity is
-    what makes fleet publication idempotent: two workers racing on the
-    same task overwrite each other with the same bytes.
+    Every publisher of results — pool workers and in-process execution
+    locally, fleet workers remotely — builds its payload here, so a result
+    object is byte-identical no matter which process wrote it.  That
+    identity is what makes publication idempotent: two writers racing on
+    the same point overwrite each other with the same bytes.
     """
-    return {
-        "version": STORE_VERSION,
-        "key": {
-            "workload": point.workload,
-            "scale": point.scale,
-            "config_name": point.config.name,
-            "fingerprint": point.fingerprint(),
-            "params": params_to_dict(point.config.params),
-        },
-        "result": result.to_dict(),
-    }
+    return {"version": STORE_VERSION, "key": payload_key(point), "result": result.to_dict()}
+
+
+def _simulate_and_persist(
+    point: ExperimentPoint,
+    trace_dir: str | None,
+    kernel: str,
+    backend: StoreBackend | None,
+) -> SimulationResult:
+    """Simulate one point, persist it through ``backend`` and return it.
+
+    The work of every executed point, in a pool worker or in-process: the
+    result is serialised once (one ``to_dict``; the backend JSON-encodes
+    that payload once) and handed back decoded from the same payload, in
+    exactly the form a later store read returns.  With a ``trace_dir`` the
+    workload trace comes from the :class:`TraceStore` (memoised per
+    process) instead of being recompiled.  The import is deferred to avoid
+    a circular import with :mod:`repro.core.simulator` (which imports this
+    module).
+    """
+    from repro.core.simulator import simulate_point
+
+    trace_store = TraceStore(trace_dir) if trace_dir is not None else None
+    result = simulate_point(
+        point.workload, point.scale, point.config, trace_store=trace_store,
+        kernel=kernel,
+    )
+    payload = result_payload(point, result)
+    if backend is not None:
+        backend.write(payload["key"]["fingerprint"], point, payload)
+    return SimulationResult.from_dict(payload["result"])
+
+
+#: this process's result-store backends, opened on first use by
+#: :func:`_pool_task` (a pool worker opens its own, never the parent's)
+_task_backends: dict[tuple[str, str], StoreBackend] = {}
+
+
+def _pool_task(
+    point: ExperimentPoint,
+    trace_dir: str | None,
+    kernel: str,
+    store_at: tuple[str, str] | None,
+) -> SimulationResult:
+    """Pool entry point: :func:`_simulate_and_persist` in a worker process.
+
+    ``store_at`` names the parent's result backend as ``(kind, cache
+    dir)``; each worker opens that backend once and writes every result it
+    simulates there itself.  Top-level so :class:`ProcessPoolExecutor` can
+    pickle it.
+    """
+    backend = None
+    if store_at is not None:
+        backend = _task_backends.get(store_at)
+        if backend is None:
+            backend = _task_backends[store_at] = make_backend(*store_at)
+    return _simulate_and_persist(point, trace_dir, kernel, backend)
 
 
 class ResultStore:
@@ -254,6 +297,15 @@ class ResultStore:
         if self.backend is not None:
             self.backend.put(key, point, result_payload(point, result))
 
+    def adopt(self, point: ExperimentPoint, result: SimulationResult) -> None:
+        """Keep ``result`` in memory for a point whose entry the simulating
+        process already persisted (:meth:`StoreBackend.write`); the backend
+        only records it (e.g. in the JSON index), never writes it again."""
+        key = point.fingerprint()
+        self._memory[key] = result
+        if self.backend is not None:
+            self.backend.adopt(key, point, payload_key(point))
+
     def clear_memory(self) -> None:
         """Drop the in-memory layer (disk entries survive)."""
         self._memory.clear()
@@ -280,6 +332,27 @@ class ResultStore:
         return self.backend.describe() if self.backend is not None else "memory"
 
 
+class _Stream:
+    """One queued run of points and the iterator of their results.
+
+    ``results`` yields ``(point, result)`` in ``points`` order; every
+    yielded result is already persisted by whoever simulated it.
+    ``pooled`` runs are received from the engine's worker pool.
+    """
+
+    def __init__(
+        self,
+        points: Sequence[ExperimentPoint],
+        results: Iterator[tuple[ExperimentPoint, SimulationResult]],
+        pooled: bool = False,
+    ) -> None:
+        self.points = points
+        self.results = results
+        self.pooled = pooled
+        #: results not received yet; the run leaves the queue at zero
+        self.remaining = len(points)
+
+
 class ExperimentEngine:
     """Executes sweep grids against a result store, per an execution plan.
 
@@ -290,11 +363,13 @@ class ExperimentEngine:
     loose keywords.  The engine never re-interprets environment variables
     or re-validates knob combinations: the plan was resolved exactly once.
 
-    With ``plan.fleet > 0`` the engine stops executing points itself and
-    delegates every cache miss to a :class:`~repro.fleet.dispatcher.
-    FleetDispatcher` — submit the batch to the shared object-store queue,
-    watch it drain (spawning ``plan.fleet`` local workers), collect the
-    published results.  Exhibits are byte-identical either way.
+    Points missing from the store go through one queue (:meth:`enqueue`),
+    whatever ``jobs`` is; :meth:`run_spec` waits on it only for its own
+    points.  With ``plan.fleet > 0`` a queued run is delegated to a
+    :class:`~repro.fleet.dispatcher.FleetDispatcher` instead — submit the
+    batch to the shared object-store queue, watch it drain (spawning
+    ``plan.fleet`` local workers), collect the published results.
+    Exhibits are byte-identical either way.
     """
 
     def __init__(
@@ -314,17 +389,23 @@ class ExperimentEngine:
         #: local fleet workers to spawn (0: fleet delegation disabled)
         self.fleet = plan.fleet
         self._dispatcher: "FleetDispatcher | None" = None
-        #: the worker pool shared by every parallel batch (created lazily)
+        #: the worker pool shared by every queued run (created lazily)
         self._pool: ProcessPoolExecutor | None = None
         #: machine model names the pool's workers were forked with
         self._pool_registry: tuple[str, ...] = ()
         if trace_store is None and self.store.cache_dir is not None:
             trace_store = TraceStore(self.store.cache_dir / TRACE_SUBDIR)
         self.trace_store = trace_store
-        #: (workload, scale) pairs already ensured on disk — without this
-        #: memo every exhibit batch would re-validate (fully unpickle) each
-        #: trace in the parent, the very cost the store exists to avoid
-        self._ensured: set[tuple[str, str]] = set()
+        #: dynamic instruction count per (workload, scale) already on disk
+        #: and memoised — without this every queued run would re-validate
+        #: each trace in the parent
+        self._trace_lengths: dict[tuple[str, str], int] = {}
+        #: queued runs, oldest first; only the head is being received
+        self._streams: deque[_Stream] = deque()
+        #: points queued and not yet arrived, in queue order
+        self._queued: dict[ExperimentPoint, None] = {}
+        #: arrived results no caller has received yet (not cache hits)
+        self._fresh: dict[ExperimentPoint, SimulationResult] = {}
         #: points actually simulated (cache misses) over this engine's life
         self.simulated = 0
         #: points delegated to the fleet (subset of ``simulated``)
@@ -332,29 +413,53 @@ class ExperimentEngine:
 
     # -- execution ----------------------------------------------------------
 
+    def enqueue(self, points: Iterable[ExperimentPoint]) -> None:
+        """Queue every point the store lacks, as one run.
+
+        Planning ahead: :meth:`repro.api.Session.iter_exhibits` passes the
+        points of every selected exhibit's grid before computing any, so
+        the whole run executes as one longest-first stream instead of one
+        batch per exhibit.  Points already stored, queued or arrived are
+        skipped; nothing is read back from the store here.
+        """
+        missing = [
+            point
+            for point in dict.fromkeys(points)
+            if point not in self._queued
+            and point not in self._fresh
+            and not self.store.contains(point)
+        ]
+        self._enqueue(missing)
+
     def run_spec(self, spec: ExperimentSpec) -> dict[ExperimentPoint, SimulationResult]:
         """Resolve every point of ``spec``, simulating only the missing ones.
 
-        Missing points are executed in one batch — across a process pool
-        when the engine was configured with ``jobs > 1`` — and the full
-        mapping of point to (defensively copied) result is returned.
+        Missing points join the engine's queue (see :meth:`enqueue`); the
+        call then receives results off the queue until its own points have
+        all arrived, and returns the full mapping of point to (defensively
+        copied) result.  Points queued earlier by a planner are waited on,
+        never simulated twice.
         """
-        results: dict[ExperimentPoint, SimulationResult] = {}
+        wanted = tuple(dict.fromkeys(spec.points))
+        cached: dict[ExperimentPoint, SimulationResult] = {}
         missing: list[ExperimentPoint] = []
-        seen: set[ExperimentPoint] = set()
-        for point in spec.points:
-            if point in seen:
+        for point in wanted:
+            if point in self._queued or point in self._fresh:
                 continue
-            seen.add(point)
-            cached = self.store.get(point)
-            if cached is None:
+            result = self.store.get(point)
+            if result is None:
                 missing.append(point)
             else:
-                results[point] = cached
-        for point, result in zip(missing, self._execute(missing), strict=True):
-            self.store.put(point, result)
-            results[point] = result.copy()
-        self.simulated += len(missing)
+                cached[point] = result
+        self._enqueue(missing)
+        results: dict[ExperimentPoint, SimulationResult] = {}
+        for point in wanted:
+            if point in cached:
+                results[point] = cached[point]
+                continue
+            while point in self._queued:
+                self._receive()
+            results[point] = self._fresh.pop(point).copy()
         return results
 
     def run_point(self, point: ExperimentPoint) -> SimulationResult:
@@ -367,41 +472,133 @@ class ExperimentEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _prewarm_traces(self, points: Sequence[ExperimentPoint]) -> None:
-        """Compile (at most once) and persist every trace the batch needs.
+    def _trace_length(self, workload: str, scale: str) -> int:
+        """Dynamic instruction count of a trace, compiling it at most once.
 
-        Running this in the parent before fanning out guarantees worker
-        processes only deserialise traces — a cold parallel sweep compiles
-        each (workload, scale) exactly once instead of once per worker.
+        Runs in the parent before anything is sent to the pool: a cold
+        sweep compiles each (workload, scale) exactly once instead of once
+        per worker, and keeps it in the per-process memo, so in-process
+        execution and workers forked afterwards reuse the compiled trace
+        instead of deserialising it.  A trace already on disk is loaded
+        (validated) once here, so a corrupt leftover is recompiled in the
+        parent rather than once per worker.  With a trace store the Table
+        2/3 statistics sidecar written here is what those tables read
+        later.
         """
-        if self.trace_store is None:
-            return
-        for key in dict.fromkeys((p.workload, p.scale) for p in points):
-            if key not in self._ensured:
-                self.trace_store.ensure(*key)
-                self._ensured.add(key)
+        key = (workload, scale)
+        length = self._trace_lengths.get(key)
+        if length is None:
+            if self.trace_store is None:
+                from repro.workloads.registry import get_workload
 
-    def _execute(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
+                stats = get_workload(workload, scale).statistics()
+            else:
+                self.trace_store.load_memoised(workload, scale)
+                stats = self.trace_store.statistics(workload, scale)
+            length = self._trace_lengths[key] = stats.total_instructions
+        return length
+
+    def _enqueue(self, points: Sequence[ExperimentPoint]) -> None:
+        """Queue ``points`` (all missing) as one run, longest trace first."""
         if not points:
-            return []
-        self._prewarm_traces(points)
+            return
+        ordered = sorted(
+            points, key=lambda p: self._trace_length(p.workload, p.scale), reverse=True
+        )
+        self.simulated += len(ordered)
+        stream = self._stream(ordered)
+        self._queued.update(dict.fromkeys(ordered))
+        self._streams.append(stream)
+
+    def _stream(self, points: Sequence[ExperimentPoint]) -> _Stream:
+        """Start one queued run: on the fleet, the pool or in-process."""
         if self.fleet:
-            return self._execute_fleet(points)
+            return _Stream(points, self._fleet_results(points))
         if self.jobs > 1 and len(points) > 1:
             try:
-                return self._execute_parallel(points)
+                results = self._worker_pool().map(
+                    _pool_task,
+                    points,
+                    itertools.repeat(self._trace_dir()),
+                    itertools.repeat(self.kernel),
+                    itertools.repeat(self._store_at()),
+                    chunksize=1,
+                )
+                return _Stream(points, zip(points, results), pooled=True)
             except (OSError, BrokenProcessPool):
                 # Process pools can be unavailable (restricted sandboxes) or
-                # lose their workers mid-run; fall back to in-process
-                # execution rather than failing the whole sweep.
-                pass
-        trace_dir = (
-            str(self.trace_store.cache_dir) if self.trace_store is not None else None
-        )
-        return [
-            SimulationResult.from_dict(_simulate_point(p, trace_dir, self.kernel))
-            for p in points
-        ]
+                # already broken; run this queue in-process instead.
+                self.shutdown_pool()
+        return _Stream(points, self._local_results(points))
+
+    def _receive(self) -> None:
+        """Take the next arriving result off the oldest queued run."""
+        while True:
+            stream = self._streams[0]
+            try:
+                point, result = next(stream.results)
+            except (OSError, BrokenProcessPool):
+                if not stream.pooled:
+                    self._abandon(stream)
+                    raise
+                # a lost worker breaks the whole pool; shutting it down
+                # moves everything outstanding in-process
+                self.shutdown_pool()
+                continue
+            except BaseException:
+                self._abandon(stream)
+                raise
+            break
+        stream.remaining -= 1
+        if not stream.remaining:
+            self._streams.popleft()
+        del self._queued[point]
+        self.store.adopt(point, result)
+        self._fresh[point] = result
+
+    def _abandon(self, stream: _Stream) -> None:
+        """A point of ``stream`` failed: the run is over.  Unqueue what it
+        still owed, so a later request queues those points afresh."""
+        self._streams.remove(stream)
+        for point in stream.points:
+            self._queued.pop(point, None)
+
+    def _run_outstanding_locally(self) -> None:
+        """Move every outstanding point to one in-process run.
+
+        A worker may have persisted a point before its pool went away
+        without the parent receiving it; such points are read back, not
+        simulated (and written) again.
+        """
+        outstanding = list(self._queued)
+        self._streams.clear()
+        if outstanding:
+            self._streams.append(
+                _Stream(outstanding, self._local_results(outstanding, recover=True))
+            )
+
+    def _local_results(
+        self, points: Sequence[ExperimentPoint], recover: bool = False
+    ) -> Iterator[tuple[ExperimentPoint, SimulationResult]]:
+        backend = self.store.backend
+        trace_dir = self._trace_dir()
+        for point in points:
+            result = None
+            if recover and backend is not None:
+                result = decode_payload(backend.get(point.fingerprint(), point))
+            if result is None:
+                result = _simulate_and_persist(point, trace_dir, self.kernel, backend)
+            yield point, result
+
+    def _trace_dir(self) -> str | None:
+        return str(self.trace_store.cache_dir) if self.trace_store is not None else None
+
+    def _store_at(self) -> tuple[str, str] | None:
+        """How a pool worker reopens this engine's result backend."""
+        backend = self.store.backend
+        if backend is None:
+            return None
+        return (backend.kind, str(getattr(backend, "cache_dir")))
 
     def fleet_dispatcher(self) -> "FleetDispatcher":
         """The engine's fleet dispatcher, created on first use.
@@ -426,26 +623,30 @@ class ExperimentEngine:
             )
         return self._dispatcher
 
-    def _execute_fleet(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
-        """Delegate the batch to the fleet: submit, watch, collect.
+    def _fleet_results(
+        self, points: Sequence[ExperimentPoint]
+    ) -> Iterator[tuple[ExperimentPoint, SimulationResult]]:
+        """Delegate a queued run to the fleet: submit, watch, collect.
 
         The engine reduces to a producer here — every point is enqueued on
         the shared :class:`~repro.fleet.queue.LeaseQueue`, workers (the
         ``plan.fleet`` spawned locally, plus any others sharing the bucket)
-        simulate and publish, and the dispatcher hands back the published
-        results in batch order.  Results re-enter :meth:`run_spec` exactly
-        as locally computed ones would.
+        simulate and publish to the fleet's bucket, and the dispatcher
+        hands back the published results in queue order.  Fleet workers
+        do not write the result store, so the parent persists them here.
         """
         dispatcher = self.fleet_dispatcher()
         batch = dispatcher.submit(points)
         dispatcher.watch(batch)
         self.fleet_points += len(points)
-        return dispatcher.collect(batch)
+        for point, result in zip(points, dispatcher.collect(batch), strict=True):
+            self.store.put(point, result)
+            yield point, result
 
     def _worker_pool(self) -> ProcessPoolExecutor:
-        """The engine's process pool, created on the first parallel batch.
+        """The engine's process pool, created on the first parallel run.
 
-        Workers are forked once and reused by every later batch, so each
+        Workers are forked once and reused by every later run, so each
         imports the kernel, unpickles a trace and lowers it at most once
         per engine instead of once per exhibit.  The kernel modules are
         imported here, before the fork, so workers inherit them.  Workers
@@ -468,28 +669,6 @@ class ExperimentEngine:
             self._pool_registry = registry
         return self._pool
 
-    def _execute_parallel(self, points: Sequence[ExperimentPoint]) -> list[SimulationResult]:
-        chunksize = max(1, len(points) // (self.jobs * 4))
-        trace_dir = (
-            str(self.trace_store.cache_dir) if self.trace_store is not None else None
-        )
-        try:
-            payloads = list(
-                self._worker_pool().map(
-                    _simulate_point,
-                    points,
-                    itertools.repeat(trace_dir),
-                    itertools.repeat(self.kernel),
-                    chunksize=chunksize,
-                )
-            )
-        except BrokenProcessPool:
-            # a lost worker breaks the whole pool: drop it so the next
-            # batch forks a fresh one
-            self.shutdown_pool()
-            raise
-        return [SimulationResult.from_dict(payload) for payload in payloads]
-
     # -- lifecycle ----------------------------------------------------------
 
     def shutdown_fleet(self) -> None:
@@ -500,10 +679,13 @@ class ExperimentEngine:
 
     def shutdown_pool(self) -> None:
         """Shut the worker pool down and wait for its workers to exit
-        (no-op when no parallel batch ran); a later batch forks a new one."""
+        (no-op when no parallel run started); a later run forks a new one.
+        Points still queued on the pool finish in-process when received."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+            if any(stream.pooled for stream in self._streams):
+                self._run_outstanding_locally()
 
     def close(self) -> None:
         """Release engine resources: shut the worker pool down, drain

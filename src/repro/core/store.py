@@ -137,6 +137,23 @@ class StoreBackend(ABC):
     def put(self, key: str, point: "ExperimentPoint", payload: dict) -> None:
         """Persist ``payload`` under ``key`` (atomically per entry)."""
 
+    def write(self, key: str, point: "ExperimentPoint", payload: dict) -> None:
+        """Persist ``payload`` under ``key`` and nothing else.
+
+        Safe from any process sharing the cache directory: the experiment
+        engine's pool workers write their own results through it, and the
+        owning process then records each entry with :meth:`adopt`.
+        Backends without per-process bookkeeping simply :meth:`put`.
+        """
+        self.put(key, point, payload)
+
+    def adopt(self, key: str, point: "ExperimentPoint", entry_key: dict) -> None:
+        """Record an entry :meth:`write` persisted, possibly in another process.
+
+        ``entry_key`` is the payload's ``key`` section.  Only backends that
+        keep per-process metadata (the JSON index) have anything to do.
+        """
+
     @abstractmethod
     def contains(self, key: str, point: "ExperimentPoint") -> bool:
         """True when an entry for ``key`` exists on disk."""
@@ -246,16 +263,27 @@ class ShardedJSONBackend(StoreBackend):
             return None
 
     def put(self, key: str, point: "ExperimentPoint", payload: dict) -> None:
+        self.write(key, point, payload)
+        self.adopt(key, point, payload.get("key", {}))
+
+    def write(self, key: str, point: "ExperimentPoint", payload: dict) -> None:
         path = self._path(key, point)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # Unique temp name per writer: two processes storing the same point
         # concurrently each complete their own atomic write (last one wins).
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
+        text = json.dumps(payload)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+        except FileNotFoundError:
+            # first entry of its shard (most writes find the directory)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
+
+    def adopt(self, key: str, point: "ExperimentPoint", entry_key: dict) -> None:
         self._pending_index[key] = {
-            "path": str(path.relative_to(self.cache_dir)),
-            "key": payload.get("key", {}),
+            "path": str(self._path(key, point).relative_to(self.cache_dir)),
+            "key": entry_key,
         }
         if len(self._pending_index) >= self.FLUSH_EVERY:
             self.flush()

@@ -21,6 +21,7 @@ how :class:`repro.machine.inorder._InOrderRun` overrides ``_issue_gate``.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, List, Optional
 
@@ -76,8 +77,9 @@ def _memtags(lowered: LoweredTrace) -> List[Any]:
 def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     """Advance ``machine`` over the whole lowered sequence (one slice)."""
     params = machine.params
-    # build Interval rows through ``tuple.__new__`` directly: same object,
-    # minus the generated named-tuple ``__new__`` frame on every tracker row
+    # build Interval and _PendingAccess rows through ``tuple.__new__``
+    # directly: same object, minus the generated named-tuple ``__new__``
+    # frame on every row
     iv_new = tuple.__new__
     lat = machine.lat
     scalar_lat, vector_lat = latency_tables(lat)
@@ -131,7 +133,13 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
 
     # -- reorder buffer ------------------------------------------------------
     rob = machine.rob
-    rob_occ = rob._occupancy
+    # commit times are pushed in non-decreasing order (each commit is at
+    # least ``last_commit``), so the occupancy heap pops exactly in FIFO
+    # order: hold it as a sorted deque here and hand back the sorted list,
+    # which is a valid heap
+    rob_occ = deque(sorted(rob._occupancy))
+    rob_pop = rob_occ.popleft
+    rob_push = rob_occ.append
     rob_entries = rob.entries
     rob_recent = rob._recent_commits
     rob_width = rob.commit_width
@@ -161,6 +169,10 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     pipe_last_exit = pipe_obj.last_exit
     mp_pending = mempipe._pending
     mp_active = mempipe._active
+    # the store rows of the window, in program order: a load can only wait
+    # on an older store, so loads scan just these (same rows that matter,
+    # same order, hence the same ``dependence_stalls``)
+    mp_stores = [p_ for p_ in mp_active if p_.is_store]
     mp_stalls = mempipe.dependence_stalls
 
     # -- functional units, scalar units and the address bus ------------------
@@ -270,7 +282,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 granted = fetch
                 stalled = False
                 while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
+                    oldest = rob_pop()
                     if oldest > granted:
                         stalled = True
                         rob_stall_cycles += oldest - granted
@@ -471,7 +483,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 rob_recent.append(commit)
                 rob_last_commit = commit
                 rob_committed += 1
-                heappush(rob_occ, commit)
+                rob_push(commit)
                 if rel_prev is not None:
                     ident = rel_prev.ident
                     if r_live[rel_cls][ident] <= 0:
@@ -513,7 +525,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 granted = fetch
                 stalled = False
                 while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
+                    oldest = rob_pop()
                     if oldest > granted:
                         stalled = True
                         rob_stall_cycles += oldest - granted
@@ -579,13 +591,16 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 rs = col_rstart[i]
                 if rs >= 0:
                     re_ = col_rend[i]
-                    if mp_active:
+                    # a store waits on every older access, a load only on
+                    # older stores
+                    window = mp_active if is_store else mp_stores
+                    if window:
                         # scan only rows that could still matter; ``pe`` is
                         # monotone across memory instructions, so anything
                         # done by now is dead for every later scan too
-                        new_active: list[_PendingAccess] = []
-                        keep_ = new_active.append
-                        for p_ in mp_active:
+                        live_: list[_PendingAccess] = []
+                        keep_ = live_.append
+                        for p_ in window:
                             ad = p_.address_done
                             if ad <= pe:
                                 continue
@@ -593,10 +608,12 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                             if ad <= dep_ready:
                                 continue
                             if p_.region_start < re_ and rs < p_.region_end:
-                                if is_store or p_.is_store:
-                                    dep_ready = ad
-                                    mp_stalls += 1
-                        mp_active = new_active
+                                dep_ready = ad
+                                mp_stalls += 1
+                        if is_store:
+                            mp_active = live_
+                        else:
+                            mp_stores = live_
 
                 if is_store:
                     v_ph = scratch[0]
@@ -681,16 +698,31 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                         if col_spill[i]:
                             tf_sstore_sp += 1
                     if rs >= 0:
-                        entry_ = _PendingAccess(col_seq[i], rs, re_, is_store, e_addr)
+                        entry_ = iv_new(
+                            _PendingAccess, (col_seq[i], rs, re_, is_store, e_addr)
+                        )
                         mp_pending.append(entry_)
                         mp_active.append(entry_)
+                        mp_stores.append(entry_)
                         if len(mp_pending) >= 256:
+                            # stores never prune ``mp_stores``: bound both
+                            # windows by the pending list's prune
                             mp_pending = [
                                 p_
                                 for p_ in mp_pending
                                 if p_.address_done > pipe_last_exit
                             ]
                             mempipe._pending = mp_pending
+                            mp_active = [
+                                p_
+                                for p_ in mp_active
+                                if p_.address_done > pipe_last_exit
+                            ]
+                            mp_stores = [
+                                p_
+                                for p_ in mp_stores
+                                if p_.address_done > pipe_last_exit
+                            ]
                     ttv = tag_tables[scls[0]]
                     if ttv is not None:
                         tag = col_tag[i]
@@ -881,18 +913,31 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                                 if col_spill[i]:
                                     tf_sload_sp += 1
                             if rs >= 0:
-                                entry_ = _PendingAccess(
-                                    col_seq[i], rs, re_, is_store, e_addr
+                                entry_ = iv_new(
+                                    _PendingAccess,
+                                    (col_seq[i], rs, re_, is_store, e_addr),
                                 )
                                 mp_pending.append(entry_)
                                 mp_active.append(entry_)
                                 if len(mp_pending) >= 256:
+                                    # loads never prune ``mp_active``: bound
+                                    # both windows by the pending list's prune
                                     mp_pending = [
                                         p_
                                         for p_ in mp_pending
                                         if p_.address_done > pipe_last_exit
                                     ]
                                     mempipe._pending = mp_pending
+                                    mp_active = [
+                                        p_
+                                        for p_ in mp_active
+                                        if p_.address_done > pipe_last_exit
+                                    ]
+                                    mp_stores = [
+                                        p_
+                                        for p_ in mp_stores
+                                        if p_.address_done > pipe_last_exit
+                                    ]
                             if table is not None:
                                 tag = col_tag[i]
                                 if tag is None:
@@ -915,7 +960,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 rob_recent.append(commit)
                 rob_last_commit = commit
                 rob_committed += 1
-                heappush(rob_occ, commit)
+                rob_push(commit)
                 if rel_prev is not None:
                     ident = rel_prev.ident
                     if r_live[rel_cls][ident] <= 0:
@@ -950,7 +995,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 granted = fetch
                 stalled = False
                 while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
+                    oldest = rob_pop()
                     if oldest > granted:
                         stalled = True
                         rob_stall_cycles += oldest - granted
@@ -1026,7 +1071,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 rob_recent.append(commit)
                 rob_last_commit = commit
                 rob_committed += 1
-                heappush(rob_occ, commit)
+                rob_push(commit)
                 last_rename = rt
                 if completion > horizon:
                     horizon = completion
@@ -1050,7 +1095,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 granted = fetch
                 stalled = False
                 while len(rob_occ) >= rob_entries:
-                    oldest = heappop(rob_occ)
+                    oldest = rob_pop()
                     if oldest > granted:
                         stalled = True
                         rob_stall_cycles += oldest - granted
@@ -1174,7 +1219,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
                 rob_recent.append(commit)
                 rob_last_commit = commit
                 rob_committed += 1
-                heappush(rob_occ, commit)
+                rob_push(commit)
                 if rel_prev is not None:
                     ident = rel_prev.ident
                     if r_live[rel_cls][ident] <= 0:
@@ -1207,6 +1252,7 @@ def _step(machine: Any, lowered: LoweredTrace, inorder: bool) -> None:
     machine.horizon = horizon
     if inorder:
         machine.issue_ready = gate_ready
+    rob._occupancy = list(rob_occ)
     rob.last_commit = rob_last_commit
     rob.allocation_stalls = rob_stalls
     rob.allocation_stall_cycles = rob_stall_cycles

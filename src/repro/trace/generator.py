@@ -93,6 +93,8 @@ class TraceGenerator:
 
     def __init__(self, max_instructions: int = DEFAULT_MAX_DYNAMIC_INSTRUCTIONS) -> None:
         self.max_instructions = max_instructions
+        #: uid of the running program's first instruction (PC 0)
+        self._pc_base = 0
 
     def run(self, program: Program) -> Trace:
         """Execute ``program`` from its entry block until it falls off the end
@@ -104,6 +106,14 @@ class TraceGenerator:
         block_idx = 0
         instr_idx = 0
         blocks = program.blocks
+        # PCs are program-relative: instruction uids come from a
+        # process-wide counter, so rebasing them on the program's smallest
+        # uid makes equal programs give equal traces whatever the process
+        # compiled before.  The shift keeps every PC distinct and every
+        # ``pc % entries`` collision of the BTB.
+        self._pc_base = min(
+            (instr.uid for block in blocks for instr in block.instructions), default=0
+        )
         label_to_index = {block.label: i for i, block in enumerate(blocks)}
 
         while block_idx < len(blocks):
@@ -150,7 +160,7 @@ class TraceGenerator:
         record = DynInstr(
             seq=seq,
             opcode=opcode,
-            pc=instr.uid,
+            pc=instr.uid - self._pc_base,
             dest=instr.dest,
             srcs=instr.srcs,
             is_spill=instr.is_spill,

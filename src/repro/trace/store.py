@@ -9,9 +9,10 @@ fresh ``run-all`` invocation) used to redo it from scratch.
 
 :class:`TraceStore` memoises compiled traces on disk, keyed by
 ``(workload, scale)`` plus a format version.  The experiment engine
-pre-warms the store in the parent process before fanning a batch out, so a
-cold ``run-all --jobs N`` compiles each workload trace exactly once; the
-workers (and any later process) just deserialise.
+loads every trace its queue needs through :meth:`TraceStore.load_memoised`
+in the parent process before anything runs, so a cold ``run-all --jobs N``
+compiles each workload trace exactly once; pool workers forked afterwards
+inherit the memoised trace, and any later process just deserialises.
 
 Entries are pickled :class:`~repro.trace.records.Trace` objects wrapped in
 a small self-describing header.  Next to each trace the store keeps its
@@ -162,13 +163,18 @@ class TraceStore:
     def statistics(self, workload: str, scale: str) -> TraceStatistics:
         """The trace's Table 2/3 statistics, read from its JSON sidecar.
 
-        On a miss (or a bad sidecar) they are computed once from
-        :meth:`load_or_generate` and persisted for later processes.
+        On a miss (or a bad sidecar) they are computed once — from the
+        per-process memo when :meth:`load_memoised` already holds the
+        trace, else from :meth:`load_or_generate` — and persisted for later
+        processes.
         """
         cached = self._read_statistics(workload, scale)
         if cached is not None:
             return cached
-        stats = compute_trace_statistics(self.load_or_generate(workload, scale))
+        trace = _memo.get((str(self.cache_dir), workload, scale))
+        if trace is None:
+            trace = self.load_or_generate(workload, scale)
+        stats = compute_trace_statistics(trace)
         payload = {
             "version": TRACE_STORE_VERSION,
             "workload": workload,
@@ -210,8 +216,7 @@ class TraceStore:
     def ensure(self, workload: str, scale: str) -> bool:
         """Make sure a *loadable* trace is on disk; True when it was compiled.
 
-        The engine calls this in the parent process for every unique
-        (workload, scale) of a batch before fanning out, so worker processes
+        Run in a parent process before fanning work out, so the workers
         only ever deserialise.  Validates by actually loading: a corrupt
         leftover entry is dropped and recompiled here, in the parent, rather
         than once per worker.  A trace this instance wrote itself is not

@@ -357,10 +357,11 @@ class TestCLI:
     def test_broken_pool_falls_back_to_serial(self, monkeypatch):
         import repro.core.runner as runner_mod
 
-        def explode(self, points):
-            raise BrokenProcessPool("workers died")
+        class BrokenPool(runner_mod.ProcessPoolExecutor):
+            def map(self, *args, **kwargs):
+                raise BrokenProcessPool("workers died")
 
-        monkeypatch.setattr(ExperimentEngine, "_execute_parallel", explode)
+        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", BrokenPool)
         engine = ExperimentEngine(plan=ExecutionPlan(jobs=4))
         spec = ExperimentSpec.grid(
             "fallback", ["trfd"], [ooo_config(), reference_config()], "tiny")

@@ -193,3 +193,30 @@ class TestTraceStatistics:
         stats = compute_trace_statistics(trace)
         assert stats.vector_load_spill_ops == 10
         assert stats.spill_traffic_fraction == pytest.approx(0.5)
+
+
+def _compiled_trace(name):
+    """A fresh compile and trace of one workload kernel (no caches)."""
+    from repro.workloads.registry import get_workload
+
+    return generate_trace(compile_kernel(get_workload(name, "tiny").build_kernel()).program)
+
+
+class TestProgramRelativePCs:
+    def test_equal_programs_give_equal_traces_whatever_was_compiled_before(self):
+        import pickle
+
+        first = _compiled_trace("trfd")
+        _compiled_trace("bdna")  # advances the process-wide instruction ids
+        again = _compiled_trace("trfd")
+        assert [d.pc for d in first] == [d.pc for d in again]
+        assert pickle.dumps(first) == pickle.dumps(again)
+
+    def test_pcs_start_at_zero_and_stay_distinct_per_instruction(self):
+        program = _program([
+            Instruction(Opcode.LI, dest=sreg(0), imm=1),
+            Instruction(Opcode.LI, dest=sreg(1), imm=2),
+            Instruction(Opcode.ADD, dest=sreg(2), srcs=(sreg(0), sreg(1))),
+        ])
+        trace = generate_trace(program)
+        assert [d.pc for d in trace] == [0, 1, 2]

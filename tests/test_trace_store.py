@@ -14,7 +14,7 @@ from repro.core.runner import (
     ExperimentEngine,
     ExperimentSpec,
     ResultStore,
-    _simulate_point,
+    _simulate_and_persist,
 )
 from repro.trace.stats import compute_trace_statistics
 from repro.trace.store import TRACE_STORE_VERSION, TraceStore
@@ -176,8 +176,9 @@ class TestEngineTraceMemoisation:
         assert warm.trace_store.generated == 0
 
     def test_worker_entry_point_loads_from_store(self, tmp_path, monkeypatch):
-        # _simulate_point with a trace_dir must use the memoised trace, not
-        # the compiler: poison compilation and check the point still runs.
+        # _simulate_and_persist with a trace_dir must use the memoised
+        # trace, not the compiler: poison compilation and check the point
+        # still runs.
         from repro.core.runner import ExperimentPoint
 
         parent = TraceStore(tmp_path)
@@ -192,11 +193,11 @@ class TestEngineTraceMemoisation:
         monkeypatch.setattr(registry, "get_workload", boom)
         monkeypatch.setattr(simulator_mod, "get_workload", boom)
         point = ExperimentPoint("trfd", "tiny", ooo_config())
-        payload = _simulate_point(point, str(tmp_path))
-        assert payload["stats"]["cycles"] > 0
+        result = _simulate_and_persist(point, str(tmp_path), "scalar", None)
+        assert result.stats.cycles > 0
         # sanity: without the trace store the poison does fire
         with pytest.raises(AssertionError):
-            _simulate_point(point, None)
+            _simulate_and_persist(point, None, "scalar", None)
 
     def test_parallel_results_match_serial_with_trace_store(self, tmp_path):
         spec = ExperimentSpec.grid(
@@ -215,17 +216,17 @@ class TestEngineTraceMemoisation:
         assert "traces:" in engine.summary()
 
     def test_prewarm_validates_each_trace_once_per_engine(self, tmp_path, monkeypatch):
-        # Successive exhibit batches on one engine must not re-ensure (and
+        # Successive queued runs on one engine must not reload (and
         # re-unpickle) traces the engine already validated.
         engine = ExperimentEngine(ResultStore(tmp_path))
         calls = []
-        real_ensure = engine.trace_store.ensure
+        real_load = engine.trace_store.load_memoised
 
-        def counting_ensure(workload, scale):
+        def counting_load(workload, scale):
             calls.append((workload, scale))
-            return real_ensure(workload, scale)
+            return real_load(workload, scale)
 
-        monkeypatch.setattr(engine.trace_store, "ensure", counting_ensure)
+        monkeypatch.setattr(engine.trace_store, "load_memoised", counting_load)
         engine.result("trfd", ooo_config(), scale="tiny")
         engine.result("trfd", ooo_config(phys_vregs=32), scale="tiny")
         engine.result("trfd", reference_config(), scale="tiny")
